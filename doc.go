@@ -95,9 +95,9 @@
 // The two hottest kernels are blocked for cache behavior:
 // tensor.MatMul dispatches large products to a tiled GEMM that packs A
 // and B panels into contiguous scratch ahead of a 4-row register-
-// blocked microkernel, and tensor.Conv2D lowers large unit-stride
-// convolutions to im2col + packed matmul (1×1 convolutions go straight
-// to GEMM; small or strided shapes keep the direct loop).
+// blocked microkernel, and tensor.Conv2D lowers every convolution,
+// strided ones included, to im2col + matmul (1×1 unit-stride
+// convolutions go straight to GEMM).
 //
 // # Kernel tier 2
 //

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -270,11 +271,21 @@ func (o lrnOp) scaleAt(xd []float32, base, c, nc int) float32 {
 	return o.bias + o.alpha/float32(o.depth)*s
 }
 
+// lrnInvPow returns scale^-β as exp(-β·log scale), in float64: the
+// same value math.Pow gives to well inside float32 precision, at a
+// fraction of its cost.
+func lrnInvPow(scale, beta float64) float64 { return math.Exp(-beta * math.Log(scale)) }
+
 func (o lrnOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	out := tensor.New(in[0].Shape()...)
+	return out, o.ForwardInto(ctx, in, out)
+}
+
+// ForwardInto implements graph.IntoOp.
+func (o lrnOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	x := in[0]
 	nc := x.Shape()[3]
 	cells := x.Size() / nc
-	out := tensor.New(x.Shape()...)
 	xd, od := x.Data(), out.Data()
 	beta := float64(o.beta)
 	ctx.Pool.For(cells, 64, func(lo, hi int) {
@@ -282,11 +293,11 @@ func (o lrnOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Ten
 			base := cell * nc
 			for c := 0; c < nc; c++ {
 				scale := o.scaleAt(xd, base, c, nc)
-				od[base+c] = xd[base+c] * float32(powf(float64(scale), -beta))
+				od[base+c] = xd[base+c] * float32(lrnInvPow(float64(scale), beta))
 			}
 		}
 	})
-	return out, nil
+	return nil
 }
 
 func (o lrnOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
@@ -309,18 +320,25 @@ func (lg lrnGradOp) InferShape(in [][]int) ([]int, error) {
 //
 //	− β·scale(c')^{-β-1}·(2α/n)·x[c]·x[c']·[c in window(c')].
 func (lg lrnGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	out := tensor.New(in[0].Shape()...)
+	return out, lg.ForwardInto(ctx, in, out)
+}
+
+// ForwardInto implements graph.IntoOp.
+func (lg lrnGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	o := lg.o
 	x, _, grad := in[0], in[1], in[2]
 	nc := x.Shape()[3]
 	cells := x.Size() / nc
-	out := tensor.New(x.Shape()...)
 	xd, gd, od := x.Data(), grad.Data(), out.Data()
 	ctx.Pool.For(cells, 32, func(lo, hi int) {
+		// Each cell accumulates only into its own channels.
+		clear(od[lo*nc : hi*nc])
 		for cell := lo; cell < hi; cell++ {
 			base := cell * nc
 			for cp := 0; cp < nc; cp++ { // c' — output channel
 				scale := float64(o.scaleAt(xd, base, cp, nc))
-				sb := powf(scale, -float64(o.beta))
+				sb := lrnInvPow(scale, float64(o.beta))
 				sb1 := sb / scale
 				gv := gd[base+cp]
 				// Diagonal term.
@@ -341,7 +359,7 @@ func (lg lrnGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tenso
 			}
 		}
 	})
-	return out, nil
+	return nil
 }
 
 // LRN applies AlexNet-style local response normalization across

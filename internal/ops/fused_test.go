@@ -55,32 +55,44 @@ func TestFusedMatMulBiasReluBitIdentical(t *testing.T) {
 }
 
 // TestFusedConv2DBiasTanhBitIdentical: the conv variant of the same
-// chain — tanh(conv(x, f) + b) — through the im2col Conv2D producer.
+// chain — tanh(conv(x, f) + b) — through the im2col Conv2D producer,
+// unit-stride and strided.
 func TestFusedConv2DBiasTanhBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	fv := tensor.RandNormal(rng, 0, 1, 3, 3, 4, 8)
-	bv := tensor.RandNormal(rng, 0, 1, 8)
-	xv := tensor.RandNormal(rng, 0, 1, 2, 10, 10, 4)
+	cases := []struct {
+		name        string
+		x, f        []int
+		stride, pad int
+		seed        int64
+	}{
+		{"unit", []int{2, 10, 10, 4}, []int{3, 3, 4, 8}, 1, 1, 23},
+		{"strided", []int{2, 32, 32, 3}, []int{11, 11, 3, 8}, 4, 2, 24},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(c.seed))
+		fv := tensor.RandNormal(rng, 0, 1, c.f...)
+		bv := tensor.RandNormal(rng, 0, 1, c.f[3])
+		xv := tensor.RandNormal(rng, 0, 1, c.x...)
 
-	build := func() (*graph.Graph, *graph.Node, *graph.Node) {
-		g := graph.New()
-		x := g.Placeholder("x", 2, 10, 10, 4)
-		f := g.Variable("f", fv.Clone())
-		b := g.Variable("b", bv.Clone())
-		return g, x, Tanh(Add(Conv2D(x, f, 1, 1, 1, 1), b))
-	}
-	gU, xU, outU := build()
-	gF, xF, outF := build()
-	if fused := graph.FuseEpilogues(gF, outF); fused != 2 {
-		t.Fatalf("expected Conv2D to absorb Add and Tanh, got %d fusions", fused)
-	}
-	if outF.OpName() != "Conv2D+Add+Tanh" {
-		t.Fatalf("fused op name %q", outF.OpName())
-	}
-	want := runAll(t, gU, []*graph.Node{outU}, runtime.Feeds{xU: xv})[0]
-	got := runAll(t, gF, []*graph.Node{outF}, runtime.Feeds{xF: xv})[0]
-	if d := tensor.MaxAbsDiff(got, want); d != 0 {
-		t.Fatalf("fused tanh(conv+b) differs from unfused (max |Δ| %g)", d)
+		build := func() (*graph.Graph, *graph.Node, *graph.Node) {
+			g := graph.New()
+			x := g.Placeholder("x", c.x...)
+			f := g.Variable("f", fv.Clone())
+			b := g.Variable("b", bv.Clone())
+			return g, x, Tanh(Add(Conv2D(x, f, c.stride, c.stride, c.pad, c.pad), b))
+		}
+		gU, xU, outU := build()
+		gF, xF, outF := build()
+		if fused := graph.FuseEpilogues(gF, outF); fused != 2 {
+			t.Fatalf("%s: expected Conv2D to absorb Add and Tanh, got %d fusions", c.name, fused)
+		}
+		if outF.OpName() != "Conv2D+Add+Tanh" {
+			t.Fatalf("%s: fused op name %q", c.name, outF.OpName())
+		}
+		want := runAll(t, gU, []*graph.Node{outU}, runtime.Feeds{xU: xv})[0]
+		got := runAll(t, gF, []*graph.Node{outF}, runtime.Feeds{xF: xv})[0]
+		if d := tensor.MaxAbsDiff(got, want); d != 0 {
+			t.Fatalf("%s: fused tanh(conv+b) differs from unfused (max |Δ| %g)", c.name, d)
+		}
 	}
 }
 

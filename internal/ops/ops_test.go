@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/runtime"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
@@ -300,6 +301,57 @@ func TestLRNKnownValue(t *testing.T) {
 	want := 2 / math.Sqrt(2+4)
 	if math.Abs(float64(out.Data()[0])-want) > 1e-5 {
 		t.Fatalf("LRN = %v want %v", out.Data()[0], want)
+	}
+}
+
+func TestLRNInvPowMatchesPow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, beta := range []float64{0.5, 0.75} {
+		for i := 0; i < 10000; i++ {
+			scale := math.Exp(rng.Float64()*16 - 8) // e^-8 .. e^8
+			want := math.Pow(scale, -beta)
+			if rel := math.Abs(lrnInvPow(scale, beta)-want) / want; rel > 1e-6 {
+				t.Fatalf("scale %g β %g: exp/log %g vs pow %g (rel %g)", scale, beta, lrnInvPow(scale, beta), want, rel)
+			}
+		}
+	}
+}
+
+// TestLRNBitIdenticalAcrossWidths runs LRN and its gradient at intra-op
+// widths 1 and 4, twice each so the second run writes into arena
+// slots still holding the first run's values; every result must carry
+// the same bits.
+func TestLRNBitIdenticalAcrossWidths(t *testing.T) {
+	pool := sched.New(4)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(12))
+	xv := tensor.RandNormal(rng, 0, 1, 8, 6, 6, 16)
+	var want []*tensor.Tensor
+	for _, width := range []int{1, 4} {
+		g := graph.New()
+		x := g.Variable("x", xv.Clone())
+		y := LRN(x, 5, 2, 1e-1, 0.75)
+		grads, err := graph.Gradients(weightedSum(y, rand.New(rand.NewSource(13))), []*graph.Node{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := runtime.NewSession(g, runtime.WithIntraOpWorkers(width), runtime.WithWorkerPool(pool))
+		for run := 0; run < 2; run++ {
+			got, err := s.Run([]*graph.Node{y, grads[0]}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got {
+				if d := tensor.MaxAbsDiff(got[i], want[i]); d != 0 {
+					t.Fatalf("width %d run %d fetch %d differs (max |Δ| %g)", width, run, i, d)
+				}
+			}
+		}
+		s.Close()
 	}
 }
 

@@ -130,11 +130,18 @@ func toJSONTensor(t *tensor.Tensor) jsonTensor {
 	return jsonTensor{Shape: t.Shape(), Data: t.Data()}
 }
 
+// fromJSONTensor checks a wire tensor's shape against its data before
+// building it. Each dimension is checked before it joins the running
+// element count, so the count never passes len(Data) and cannot
+// overflow int to a value that happens to match.
 func fromJSONTensor(jt jsonTensor) (*tensor.Tensor, error) {
 	size := 1
 	for _, d := range jt.Shape {
 		if d <= 0 {
 			return nil, fmt.Errorf("bad dimension %d in shape %v", d, jt.Shape)
+		}
+		if d > len(jt.Data)/size {
+			return nil, fmt.Errorf("shape %v wants more than the %d values given", jt.Shape, len(jt.Data))
 		}
 		size *= d
 	}

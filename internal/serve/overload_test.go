@@ -388,6 +388,37 @@ func postInfer(t *testing.T, url, model, body string) (int, jsonError) {
 	return resp.StatusCode, je
 }
 
+// TestFromJSONTensorShapeChecks: a wire shape must match its data
+// exactly, and no dimension list may pass by overflowing the element
+// count.
+func TestFromJSONTensorShapeChecks(t *testing.T) {
+	cases := []struct {
+		name  string
+		shape []int
+		n     int // len(data)
+		ok    bool
+	}{
+		{"matching", []int{2, 3}, 6, true},
+		{"scalar", []int{}, 1, true},
+		{"too few values", []int{2, 3}, 5, false},
+		{"too many values", []int{2, 3}, 7, false},
+		{"overflow to zero", []int{1 << 32, 1 << 32}, 0, false},
+		{"overflow to the data length", []int{1<<62 + 1, 4}, 4, false},
+		{"zero dimension", []int{0, 3}, 0, false},
+		{"negative dimension", []int{-1, 2}, 2, false},
+		{"negative pair", []int{-2, -2}, 4, false},
+	}
+	for _, c := range cases {
+		tt, err := fromJSONTensor(jsonTensor{Shape: c.shape, Data: make([]float32, c.n)})
+		if c.ok != (err == nil) {
+			t.Fatalf("%s: shape %v with %d values: err %v, want ok=%v", c.name, c.shape, c.n, err, c.ok)
+		}
+		if c.ok && tt.Size() != c.n {
+			t.Fatalf("%s: size %d, want %d", c.name, tt.Size(), c.n)
+		}
+	}
+}
+
 // TestHTTPErrorContract drives each machine-readable error code end to
 // end: invalid_input, overloaded (+Retry-After), deadline_exceeded,
 // and closed.

@@ -51,15 +51,12 @@ func Conv2D(p *Pool, in, filter *Tensor, spec ConvSpec) (*Tensor, error) {
 // inferred output shape. out may hold arbitrary data; it is fully
 // overwritten and must not alias in or filter.
 //
-// The kernel is chosen by a size heuristic:
-//   - 1×1 unit-stride unpadded convolutions are a pure matrix product
-//     and dispatch straight to the tiled MatMul kernel;
-//   - large unit-stride convolutions lower to im2col: input patches are
-//     gathered into a row-major patch matrix (in row blocks bounded by
-//     the scratch budget) and multiplied against the filter viewed as a
-//     (KH·KW·Cin, Cout) matrix with the packed matmul kernel;
-//   - small or strided convolutions keep the direct loop, whose gather
-//     cost would dominate the im2col matrix assembly.
+// 1×1 unit-stride unpadded convolutions are a pure matrix product and
+// dispatch straight to the tiled MatMul kernel. Every other convolution,
+// strided or not, lowers to im2col: input patches are gathered into a
+// row-major patch matrix (in row blocks bounded by the scratch budget)
+// and multiplied against the filter viewed as a (KH·KW·Cin, Cout)
+// matrix with the matmul kernel.
 func Conv2DInto(p *Pool, out, in, filter *Tensor, spec ConvSpec) error {
 	spec = spec.check()
 	if err := conv2DCheck(in, filter); err != nil {
@@ -85,75 +82,20 @@ func conv2DCheck(in, filter *Tensor) error {
 	return nil
 }
 
-// im2colMinWork is the per-output-cell multiply count (KH·KW·Cin·Cout)
-// above which patch gathering is amortized and the im2col path wins.
-const im2colMinWork = 2048
-
 func conv2DInto(p *Pool, out, in, filter *Tensor, spec ConvSpec) {
 	kh, kw, cin, cout := filter.shape[0], filter.shape[1], filter.shape[2], filter.shape[3]
-	unit := spec.StrideH == 1 && spec.StrideW == 1
-	switch {
-	case kh == 1 && kw == 1 && unit && spec.PadH == 0 && spec.PadW == 0:
+	if kh == 1 && kw == 1 && spec.StrideH == 1 && spec.StrideW == 1 && spec.PadH == 0 && spec.PadW == 0 {
 		// A 1×1 convolution is exactly (N·H·W, Cin)·(Cin, Cout).
 		rows := in.shape[0] * in.shape[1] * in.shape[2]
 		matmulInto(p, out.data, in.data, filter.data, rows, cout, cin, cin, cout, false, false)
-	case unit && kh*kw*cin*cout >= im2colMinWork:
-		conv2DIm2col(p, out, in, filter, spec)
-	default:
-		conv2DDirect(p, out, in, filter, spec)
+		return
 	}
+	conv2DIm2col(p, out, in, filter, spec)
 }
 
-// conv2DDirect is the straightforward gather-multiply-accumulate loop,
-// parallelized over N·OH output rows.
-func conv2DDirect(p *Pool, out, in, filter *Tensor, spec ConvSpec) {
-	n, h, w, cin := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
-	kh, kw, cout := filter.shape[0], filter.shape[1], filter.shape[3]
-	oh, ow := out.shape[1], out.shape[2]
-	id, fd, od := in.data, filter.data, out.data
-	rows := n * oh
-	grain := 1 + 32768/(ow*cout*kh*kw*cin+1)
-	p.For(rows, grain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			b := r / oh
-			oy := r % oh
-			for ox := 0; ox < ow; ox++ {
-				obase := ((b*oh+oy)*ow + ox) * cout
-				acc := od[obase : obase+cout]
-				for co := range acc {
-					acc[co] = 0
-				}
-				iy0 := oy*spec.StrideH - spec.PadH
-				ix0 := ox*spec.StrideW - spec.PadW
-				for ky := 0; ky < kh; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < kw; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						ibase := ((b*h+iy)*w + ix) * cin
-						fbase := (ky*kw + kx) * cin * cout
-						for c := 0; c < cin; c++ {
-							v := id[ibase+c]
-							frow := fd[fbase+c*cout : fbase+(c+1)*cout]
-							for co := 0; co < cout; co++ {
-								acc[co] += v * frow[co]
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
-// im2colScratchCap bounds the patch-matrix scratch to about 1 MB of
+// im2colScratchCap bounds the patch-matrix scratch to 256 KB of
 // float32s; larger outputs are processed in row blocks.
-const im2colScratchCap = 1 << 18
+const im2colScratchCap = 1 << 16
 
 // conv2DIm2col lowers the convolution to matrix multiplication: each
 // output position's receptive field becomes one row of a patch matrix,
@@ -196,29 +138,24 @@ func im2colRows(p *Pool, col []float32, in *Tensor, r0, r1, kh, kw, oh, ow int, 
 			row := col[rr*kk : (rr+1)*kk]
 			iy0 := oy*spec.StrideH - spec.PadH
 			ix0 := ox*spec.StrideW - spec.PadW
-			pos := 0
+			// Taps kx in [kx0, kx1) fall inside the image; their
+			// Cin-vectors are adjacent in NHWC, so each kernel row is
+			// one contiguous copy flanked by zero fill.
+			kx0 := min(kw, max(0, -ix0))
+			kx1 := max(kx0, min(kw, w-ix0))
 			for ky := 0; ky < kh; ky++ {
+				seg := row[ky*kw*cin : (ky+1)*kw*cin]
 				iy := iy0 + ky
 				if iy < 0 || iy >= h {
-					for z := 0; z < kw*cin; z++ {
-						row[pos+z] = 0
-					}
-					pos += kw * cin
+					clear(seg)
 					continue
 				}
-				ibase := (b*h + iy) * w
-				for kx := 0; kx < kw; kx++ {
-					ix := ix0 + kx
-					if ix < 0 || ix >= w {
-						for z := 0; z < cin; z++ {
-							row[pos+z] = 0
-						}
-					} else {
-						src := (ibase + ix) * cin
-						copy(row[pos:pos+cin], id[src:src+cin])
-					}
-					pos += cin
+				clear(seg[:kx0*cin])
+				if kx1 > kx0 {
+					src := ((b*h+iy)*w + ix0) * cin
+					copy(seg[kx0*cin:kx1*cin], id[src+kx0*cin:src+kx1*cin])
 				}
+				clear(seg[kx1*cin:])
 			}
 		}
 	})

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// naiveConv2D is a reference convolution used to validate the kernel.
+// naiveConv2D is the direct-loop reference convolution used to validate
+// the kernel; it sums each output over taps in (ky, kx, c) order.
 func naiveConv2D(in, f *Tensor, spec ConvSpec) *Tensor {
 	n, h, w, cin := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
 	kh, kw, _, cout := f.Dim(0), f.Dim(1), f.Dim(2), f.Dim(3)
@@ -64,9 +65,10 @@ func TestConv2DMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestConv2DIm2colMatchesDirect forces both kernel paths on shapes
-// large enough to engage the im2col heuristic and checks they agree
-// (and match the naive reference).
+// TestConv2DIm2colMatchesDirect checks the im2col kernel, unit-stride
+// and strided, bit for bit against the direct loop in naiveConv2D: the
+// GEMM accumulates each output in the same tap order, and the zeros it
+// multiplies for out-of-image taps leave every sum unchanged.
 func TestConv2DIm2colMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := NewPool(2)
@@ -74,28 +76,27 @@ func TestConv2DIm2colMatchesDirect(t *testing.T) {
 		n, h, w, cin, kh, kw, cout int
 		spec                       ConvSpec
 	}{
-		{2, 9, 9, 16, 3, 3, 16, ConvSpec{1, 1, 1, 1}}, // SAME, padded taps
-		{1, 7, 5, 8, 3, 3, 32, ConvSpec{1, 1, 0, 0}},  // VALID, non-square
-		{1, 6, 6, 24, 5, 5, 12, ConvSpec{1, 1, 2, 2}}, // window > half image
+		{2, 9, 9, 16, 3, 3, 16, ConvSpec{1, 1, 1, 1}},   // SAME, padded taps
+		{1, 7, 5, 8, 3, 3, 32, ConvSpec{1, 1, 0, 0}},    // VALID, non-square
+		{1, 6, 6, 24, 5, 5, 12, ConvSpec{1, 1, 2, 2}},   // window > half image
+		{2, 64, 64, 3, 11, 11, 8, ConvSpec{4, 4, 2, 2}}, // alexnet conv1
+		{2, 9, 9, 8, 3, 3, 16, ConvSpec{2, 2, 1, 1}},    // 3×3 stride 2
+		{8, 2, 2, 16, 3, 3, 16, ConvSpec{1, 1, 1, 1}},   // most taps in padding
+		{2, 1, 1, 32, 3, 3, 32, ConvSpec{1, 1, 1, 1}},   // 1×1 image, SAME
+		// Padding at least the kernel size: whole kx spans and whole ky
+		// rows fall outside the image, on both sides.
+		{1, 4, 5, 4, 3, 3, 8, ConvSpec{2, 1, 3, 3}},
 	}
 	for _, c := range cases {
-		if c.kh*c.kw*c.cin*c.cout < im2colMinWork {
-			t.Fatalf("case %+v does not engage the im2col path", c)
-		}
 		in := RandNormal(rng, 0, 1, c.n, c.h, c.w, c.cin)
 		f := RandNormal(rng, 0, 1, c.kh, c.kw, c.cin, c.cout)
-		oh := ConvOutSize(c.h, c.kh, 1, c.spec.PadH)
-		ow := ConvOutSize(c.w, c.kw, 1, c.spec.PadW)
-		viaIm2col := Full(99, c.n, oh, ow, c.cout) // dirty, like an arena buffer
-		conv2DIm2col(p, viaIm2col, in, f, c.spec)
-		viaDirect := New(c.n, oh, ow, c.cout)
-		conv2DDirect(p, viaDirect, in, f, c.spec)
-		if !AllClose(viaIm2col, viaDirect, 1e-4, 1e-4) {
-			t.Fatalf("im2col vs direct mismatch %+v (max diff %g)", c, MaxAbsDiff(viaIm2col, viaDirect))
-		}
+		oh := ConvOutSize(c.h, c.kh, c.spec.StrideH, c.spec.PadH)
+		ow := ConvOutSize(c.w, c.kw, c.spec.StrideW, c.spec.PadW)
+		got := Full(99, c.n, oh, ow, c.cout) // dirty, like an arena buffer
+		conv2DIm2col(p, got, in, f, c.spec)
 		want := naiveConv2D(in, f, c.spec)
-		if !AllClose(viaIm2col, want, 1e-4, 1e-4) {
-			t.Fatalf("im2col vs naive mismatch %+v (max diff %g)", c, MaxAbsDiff(viaIm2col, want))
+		if d := MaxAbsDiff(got, want); d != 0 {
+			t.Fatalf("im2col vs direct mismatch %+v (max diff %g)", c, d)
 		}
 	}
 }

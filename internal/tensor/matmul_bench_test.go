@@ -130,9 +130,9 @@ func benchMatMulWidths(b *testing.B, m, k, n int) {
 	}
 }
 
-// BenchmarkConv2D measures the convolution kernel at a VGG-like layer
-// shape (unit stride, SAME padding) where the im2col path engages, and
-// an AlexNet-conv1-like strided shape kept on the direct path.
+// BenchmarkConv2D measures the im2col convolution kernel at a VGG-like
+// layer shape (unit stride, SAME padding) and at AlexNet's strided
+// conv1, both at batch 1 and as served (batch 8, Cout 8).
 func BenchmarkConv2D(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	cases := []struct {
@@ -143,6 +143,7 @@ func BenchmarkConv2D(b *testing.B) {
 	}{
 		{"vgg_56x56x64", 1, 56, 56, 64, 3, 3, 64, 1, 1},
 		{"alexnet_conv1", 1, 64, 64, 3, 11, 11, 24, 4, 2},
+		{"alexnet_conv1_served", 8, 64, 64, 3, 11, 11, 8, 4, 2},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

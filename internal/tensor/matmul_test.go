@@ -282,31 +282,41 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConv2DParallelBitIdentical covers the conv kernels (direct and
-// im2col dispatch) under the real parallel strategy.
+// TestConv2DParallelBitIdentical covers the im2col conv kernel
+// (unit-stride, strided and padding-dominated shapes) under the real
+// parallel strategy, and checks both widths against the direct loop in
+// naiveConv2D.
 func TestConv2DParallelBitIdentical(t *testing.T) {
 	ex := sched.New(4)
 	defer ex.Close()
 	rng := rand.New(rand.NewSource(5))
-	in := RandNormal(rng, 0, 1, 2, 12, 12, 8)
-	filt := RandNormal(rng, 0, 1, 3, 3, 8, 16)
-	spec := ConvSpec{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	want, err := Conv2D(NewPool(1), in, filt, spec)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		in   []int // N, H, W, Cin
+		filt []int // KH, KW, Cin, Cout
+		spec ConvSpec
+	}{
+		{"im2col", []int{2, 12, 12, 8}, []int{3, 3, 8, 16}, ConvSpec{1, 1, 1, 1}},
+		{"im2col strided", []int{2, 12, 12, 8}, []int{3, 3, 8, 16}, ConvSpec{2, 2, 0, 0}},
+		{"im2col alexnet conv1", []int{8, 64, 64, 3}, []int{11, 11, 3, 8}, ConvSpec{4, 4, 2, 2}},
+		{"im2col mostly padding", []int{8, 2, 2, 16}, []int{3, 3, 16, 16}, ConvSpec{1, 1, 1, 1}},
 	}
-	got, err := Conv2D(NewParallelPool(4, ex), in, filt, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := MaxAbsDiff(got, want); d != 0 {
-		t.Fatalf("parallel conv differs (max |Δ| %g)", d)
-	}
-	// Strided direct path.
-	spec2 := ConvSpec{StrideH: 2, StrideW: 2}
-	want2, _ := Conv2D(NewPool(1), in, filt, spec2)
-	got2, _ := Conv2D(NewParallelPool(4, ex), in, filt, spec2)
-	if d := MaxAbsDiff(got2, want2); d != 0 {
-		t.Fatalf("parallel strided conv differs (max |Δ| %g)", d)
+	for _, c := range cases {
+		in := RandNormal(rng, 0, 1, c.in...)
+		filt := RandNormal(rng, 0, 1, c.filt...)
+		want, err := Conv2D(NewPool(1), in, filt, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Conv2D(NewParallelPool(4, ex), in, filt, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := MaxAbsDiff(got, want); d != 0 {
+			t.Fatalf("%s: parallel conv differs (max |Δ| %g)", c.name, d)
+		}
+		if d := MaxAbsDiff(want, naiveConv2D(in, filt, c.spec)); d != 0 {
+			t.Fatalf("%s: conv differs from the direct loop (max |Δ| %g)", c.name, d)
+		}
 	}
 }
