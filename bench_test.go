@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/experiments"
-	"repro/internal/fuse"
 	"repro/internal/profiling"
 	"repro/internal/runtime"
 	"repro/internal/sched"
@@ -312,39 +311,37 @@ func benchTrainReplicas(b *testing.B, replicas int) {
 func BenchmarkTrainReplicas1(b *testing.B) { benchTrainReplicas(b, 1) }
 func BenchmarkTrainReplicas4(b *testing.B) { benchTrainReplicas(b, 4) }
 
-// benchTrainFused measures the horizontally fused training array on
-// the same workload/grid as benchTrainReplicas: one fused Step
-// advances width trainees, so ns/op at width K is directly comparable
-// to K× the replica benchmark's ns/op (the sequential-standalone
-// baseline HFTA-style fusion amortizes).
-func benchTrainFused(b *testing.B, width int) {
+// BenchmarkTrainFused4 measures a horizontally fused replica on the
+// same workload and grid as benchTrainReplicas: one Step advances four
+// trainees, so its ns/op is directly comparable to 4× the
+// replicas-1 ns/op (the sequential-standalone baseline HFTA-style
+// fusion amortizes).
+func BenchmarkTrainFused4(b *testing.B) {
+	const width = 4
 	pool := sched.New(8)
 	defer pool.Close()
-	arr, err := fuse.New("autoenc", fuse.Options{
-		Width: width, Chunks: 4, Preset: core.PresetTiny, Seed: 1, Pool: pool,
+	tr, err := dist.New("autoenc", dist.Options{
+		LRScales: []float32{1, 1, 1, 1}, Chunks: 4, Preset: core.PresetTiny, Seed: 1, Pool: pool,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer arr.Close()
-	if _, err := arr.Step(); err != nil { // compile plans outside the timer
+	defer tr.Close()
+	if _, err := tr.Step(); err != nil { // compile plans outside the timer
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := arr.Step(); err != nil {
+		if _, err := tr.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	t := arr.Timing()
+	t := tr.Timing()
 	if t.Wall > 0 {
 		b.ReportMetric(float64(t.Steps*width)/t.Wall.Seconds(), "trainee-steps/s")
 	}
 }
-
-func BenchmarkTrainFused1(b *testing.B) { benchTrainFused(b, 1) }
-func BenchmarkTrainFused4(b *testing.B) { benchTrainFused(b, 4) }
 
 func BenchmarkServeAlexnet(b *testing.B) { benchServe(b, "alexnet", 2, 8, 8) }
 func BenchmarkServeMemnet(b *testing.B)  { benchServe(b, "memnet", 2, 8, 8) }

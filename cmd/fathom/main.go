@@ -72,7 +72,7 @@ func main() {
 	heads := fs.Int("heads", 0, "attention head-count override for multi-head workloads; 0 = preset default, must divide the embedding dim (run, serve)")
 	replicas := fs.Int("replicas", 4, "data-parallel model replicas (train)")
 	chunks := fs.Int("chunks", 4, "micro-batch chunks per global step; replicas must divide it (train)")
-	fuseWidth := fs.Int("fuse", 0, "horizontal fusion width: also train K instances in one fused graph, 0 = off (train)")
+	fuseWidth := fs.Int("fuse", 0, "horizontal fusion width: also train one dist replica fusing K instances into one graph, 0 = off (train)")
 	queueLen := fs.Int("queue", 0, "admission queue cap per priority lane, 0 = 4x maxbatch (serve, loadtest)")
 	deadline := fs.Duration("deadline", 0, "per-request deadline budget, 0 = none for serve / 250ms for loadtest (serve, loadtest)")
 	qps := fs.Float64("qps", 0, "1x-stage offered rate; 0 measures engine capacity first (loadtest)")
@@ -174,8 +174,8 @@ func main() {
 		// Data-parallel training: replicate each workload over shards
 		// of its global batch on the shared pool, report achieved vs
 		// achievable scaling, and live-check the bit-identical-across-
-		// replica-counts contract. With -fuse K, additionally train a
-		// width-K horizontally fused array per workload. Emits CSV with
+		// replica-counts contract. With -fuse K, additionally train one
+		// width-K fused replica per workload. Emits CSV with
 		// -out and persists the throughput sweep as BENCH_train.json.
 		validateTrainFlags(*replicas, *chunks, *fuseWidth)
 		var names []string
@@ -514,7 +514,7 @@ commands:
   profile    parallelism report          (-interop N -intraop N; critical path, achieved vs
              achievable inter-op speedup, real vs modeled intra-op speedup; CSV with -out)
   train      training scaling            (-replicas N -chunks K -fuse K -model a,b -steps N -intraop N;
-             data-parallel achieved vs achievable scaling plus horizontally fused arrays,
+             data-parallel achieved vs achievable scaling plus a width-K fused replica,
              bit-identical across replica counts and fused trainees -> BENCH_train.json;
              -trace dumps per-step sample/grad/reduce/apply phase telemetry)
   serve      HTTP/JSON inference serving (-model a,b -addr -sessions -maxbatch -maxdelay -interop -intraop

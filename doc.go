@@ -266,39 +266,43 @@
 //
 // # Horizontally fused training
 //
-// internal/fuse adds the HFTA-style fourth scaling axis: instead of
-// running K training instances side by side (K graphs, K sessions, K
-// GEMMs per layer), fuse.New builds one array-batched graph in which
-// every parameter, gradient, and optimizer update is stacked along a
-// leading fusion axis of size K, so a single batched matrix multiply
-// (ops.BatchMatMul) — and a single arena, plan, and session — serves
-// all K trainees at once. The transform is graph-level and works on
-// any core.Trainer workload: shared structure (placeholders,
-// constants, non-parameter state, the RNG source lane) is computed
-// once and broadcast, per-trainee structure is lifted onto the fusion
-// axis, and the impure lane's schedule order is preserved so one
-// shared dropout mask keeps RNG draw-count parity with a standalone
-// run. Trainees may diverge only through per-trainee learning-rate
-// scales (Options.LRScales), which is the hyperparameter-search use
-// case: K learning rates explored for the price of roughly one run.
+// A dist replica may also be a horizontally fused array, the
+// HFTA-style fourth scaling axis. Instead of running K training
+// instances side by side (K graphs, K sessions, K GEMMs per layer),
+// dist.Options.LRScales of length K > 1 makes every replica run one
+// array-batched graph in which every parameter, gradient, and
+// optimizer update is stacked along a leading fusion axis of size K,
+// so a single batched matrix multiply (ops.BatchMatMul) — and a single
+// arena, plan, and session — serves all K trainees at once. The
+// transform is graph-level and works on any dist.Trainable workload:
+// shared structure (placeholders, constants, non-parameter state, the
+// RNG source lane) is computed once and broadcast, per-trainee
+// structure is lifted onto the fusion axis, and the impure lane's
+// schedule order is preserved so one shared dropout mask keeps RNG
+// draw-count parity with a standalone run. The optimizer apply-ops
+// take the K learning rates and update the stacked slices. Trainees
+// may diverge only through their learning-rate scales, which is the
+// hyperparameter-search use case: K learning rates explored for the
+// price of roughly one run. A fused replica is driven by the same
+// chunk protocol, all-reduce and checkpoint format as a plain one, so
+// N fused replicas train K×N trainees with one all-reduce over the
+// stacked parameters.
 //
 // The fused determinism contract extends the harness once more: each
 // trainee's loss trajectory and final variables are bit-identical to
-// a standalone run with the same seed, chunk grid, and learning-rate
-// scale, across widths K ∈ {1, 2, 4} × intra-op {1, 4}. This holds by
-// construction — fused kernels iterate the fusion axis invoking the
-// standalone kernel on contiguous per-trainee views, and the chunk
-// protocol (reseed, ChunkSeed sampling, ascending-chunk float32
-// gradient accumulation, fed-gradient apply) is shared with
-// internal/dist verbatim. `fathom train -fuse K` trains the fused
-// array next to the data-parallel baseline and persists both
-// throughput trajectories as BENCH_train.json.
+// a width-1 run with the same seed, chunk grid, and learning-rate
+// scale, across widths K ∈ {2, 4} × intra-op {1, 4} and at 2 replicas.
+// This holds by construction — fused kernels iterate the fusion axis
+// invoking the standalone kernel on contiguous per-trainee views.
+// `fathom train -fuse K` trains a width-K replica next to the
+// data-parallel baseline and persists both throughput trajectories as
+// BENCH_train.json.
 //
 // # Adaptive pool leases
 //
 // Pool leases are occupancy-driven rather than static. Every tenant —
 // plain sessions, serve engines ("engine/<model>"), dist trainers
-// ("dist/<model>"), fused arrays ("fuse/<model>") — registers a named
+// ("dist/<model>", fused or not) — registers a named
 // lease recording what it wants; while total wants fit the pool,
 // everyone gets a full grant. When tenants oversubscribe the pool, a
 // time-gated renegotiation on the TryRun path water-fills grants over

@@ -37,7 +37,7 @@ func (t *toy) Setup(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	t.train = ops.ApplySGD(w, grads[0], 1e-4)
+	t.train = ops.ApplySGD(w, grads[0], []float32{1e-4})
 	return nil
 }
 func (t *toy) Signature(mode Mode) Signature {

@@ -1,7 +1,11 @@
-// Package dist is the suite's data-parallel training subsystem: N
-// model replicas of one workload, each with its own graph and session,
-// trained in lockstep over shards of a synthetic dataset with a
-// deterministic gradient all-reduce.
+// Package dist is the suite's training step driver: N model replicas
+// of one workload, each with its own graph and session, trained in
+// lockstep over shards of a synthetic dataset with a deterministic
+// gradient all-reduce. A replica comes in two kinds. A plain replica
+// runs the workload's own graph. A fused replica runs a horizontally
+// fused graph training K instances at once, after HFTA (Wang et al.,
+// MLSys 2021); K is len(Options.LRScales). N fused replicas train K
+// trainees each, with one all-reduce over the stacked parameters.
 //
 // # Architecture
 //
@@ -11,13 +15,13 @@
 // of the chunk grid. A step has three phases:
 //
 //  1. Gradients: every replica runs, for each owned chunk, one
-//     forward+backward of its workload's training graph — fetching the
-//     loss and the raw parameter gradients through nn.TrainPlan,
-//     without touching any variable. The chunk's data comes from
-//     core.TrainSampler keyed by dataset.ChunkSeed(seed, step, chunk),
-//     and the session RNG is reseeded with the same chunk seed, so a
-//     chunk's batch AND its stochastic ops (dropout masks, VAE
-//     sampling) are pure functions of the chunk coordinates.
+//     forward+backward of its training graph — fetching the loss and
+//     the raw parameter gradients, without touching any variable. The
+//     chunk's data comes from core.TrainSampler keyed by
+//     dataset.ChunkSeed(seed, step, chunk), and the session RNG is
+//     reseeded with the same chunk seed, so a chunk's batch AND its
+//     stochastic ops (dropout masks, VAE sampling) are pure functions
+//     of the chunk coordinates.
 //  2. All-reduce: for every parameter, the per-chunk gradients combine
 //     in fixed ascending-replica, ascending-chunk float32 order —
 //     replica ranges are contiguous and ascending, so this is exactly
@@ -27,21 +31,39 @@
 //     several, see reduceRangeElems) reducing independently, possibly
 //     on different shared-pool workers; every element's combine order
 //     is fixed regardless of the split or placement.
-//  3. Apply: every replica feeds the same combined tensors into its
-//     TrainPlan's fed-gradient placeholders and fetches the same
-//     apply node, taking one identical optimizer step. Replica
-//     variable state therefore stays bitwise identical forever.
+//  3. Apply: every replica feeds the same combined tensors into the
+//     fed-gradient placeholders of its nn.TrainPlan.ApplyPath and
+//     fetches the same apply node, taking one identical optimizer
+//     step. Replica variable state therefore stays bitwise identical
+//     forever.
+//
+// # Fused replicas
+//
+// The fused graph (transform) stacks the K trainees' parameters,
+// activations and gradients along a new leading axis. Shared inputs
+// and everything computed purely from them execute once for all
+// trainees, untransposed products of two stacked operands become one
+// BatchMatMul, and the optimizer apply-ops take one learning rate per
+// trainee. Trainees share the seed, data and chunk grid and differ
+// only through their learning-rate scales. Every fused node either
+// runs the standalone kernel per trainee on contiguous slices or is
+// genuinely shared (one dropout mask, one RNG draw), so trainee k's
+// losses and parameters are bit-identical to a width-1 run at scale
+// LRScales[k]. Workloads that advance out-of-graph state per step
+// (StepListener) have no slice in a fused graph and train at width 1
+// only.
 //
 // # Determinism contract
 //
-// For a fixed global batch, chunk count and seed, the training
-// trajectory — per-step losses and every variable's final bits — is
-// identical for ANY replica count dividing the chunk count, and for
-// any intra-op/inter-op session widths: the replica count changes only
-// which session executes a chunk, never the chunk's math, data, RNG
-// stream, or the combine order. The cross-workload harness
-// (internal/models/determinism_test.go) pins this for all nine
-// workloads across replicas {1,2,4} × intra-op {1,4}.
+// For a fixed global batch, chunk count, seed and learning-rate
+// scales, the training trajectory — per-step losses and every
+// variable's final bits — is identical for ANY replica count dividing
+// the chunk count, and for any intra-op/inter-op session widths: the
+// replica count changes only which session executes a chunk, never
+// the chunk's math, data, RNG stream, or the combine order. The
+// cross-workload harness (internal/models/determinism_test.go) pins
+// this for all ten workloads across replicas {1,2,4} × intra-op {1,4},
+// and every fused trainee against its width-1 run.
 //
 // # Scheduling
 //
@@ -60,6 +82,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,9 +105,9 @@ const phaseRingSize = 256
 // ErrClosed is returned by Step after Close.
 var ErrClosed = errors.New("dist: trainer closed")
 
-// Trainable is what a workload must implement to train data-parallel:
-// the standard model interface, a seed-keyed batch sampler, and the
-// gradient/update fetch surface nn.BuildTraining records. All nine
+// Trainable is what a workload must implement to train here: the
+// standard model interface, a seed-keyed batch sampler, and the
+// gradient/update fetch surface nn.BuildTraining records. All ten
 // suite workloads qualify.
 type Trainable interface {
 	core.Model
@@ -95,7 +119,8 @@ type Trainable interface {
 // every replica after global step `step`'s combined update has been
 // applied, for state that must advance in lockstep outside the graph —
 // deepq syncs its target network here. Implementations may only
-// depend on replica-local state that is itself in lockstep.
+// depend on replica-local state that is itself in lockstep. Such a
+// workload trains at width 1 only.
 type StepListener interface {
 	OnTrainStep(step int)
 }
@@ -119,12 +144,12 @@ type Options struct {
 	// Seed keys model initialization and the per-(step, chunk) data
 	// and RNG streams (default 1).
 	Seed int64
-	// LRScale scales the workload recipe's base learning rate (0 means
-	// 1): the update path applies base × LRScale as a single float32
-	// product — the same arithmetic a fused training array
-	// (internal/fuse) applies per trainee, so a standalone dist run at
-	// a given scale is the bit-exact reference for that fused trainee.
-	LRScale float32
+	// LRScales holds one learning-rate scale per trainee, and so sets
+	// the fusion width K = len(LRScales) (nil means one trainee at
+	// scale 1). Trainee k steps at the workload recipe's base rate ×
+	// LRScales[k], a single float32 product. Width 1 trains the
+	// workload's own graph; width K > 1 trains a fused graph.
+	LRScales []float32
 	// IntraOpWorkers is each replica session's real intra-op width
 	// (default 1); InterOpWorkers its inter-op scheduler width.
 	// Neither affects result bits.
@@ -139,17 +164,17 @@ type Options struct {
 // replica is one model copy and its execution state.
 type replica struct {
 	model   Trainable
+	graph   *replicaGraph
 	sess    *runtime.Session
 	fetches []*graph.Node // loss + raw grads, in TrainPlan order
-	inputs  map[string]*graph.Node
 
 	applyNode  *graph.Node
 	applyFeeds runtime.Feeds
 
 	lo, hi int // owned chunk range [lo, hi)
 
-	feeds      runtime.Feeds // per-chunk training feeds, reused
-	chunkLoss  []float64
+	feeds      runtime.Feeds      // per-chunk training feeds, reused
+	chunkLoss  []float64          // [owned chunk × width + trainee]
 	chunkGrads [][]*tensor.Tensor // [owned chunk][param]
 
 	gradWall   time.Duration // grad phase wall of the current step
@@ -180,16 +205,16 @@ type Timing struct {
 type Trainer struct {
 	name     string
 	opts     Options
+	scales   []float32 // per-trainee learning-rate scales; len is the width
 	part     dataset.Partition
 	pool     *sched.Pool
 	lease    *sched.Lease
 	replicas []*replica
-	params   int
 
 	comb        []*tensor.Tensor // combined gradients, one per parameter
 	reduceItems []reduceItem     // the all-reduce work list: element ranges
 	step        int
-	losses      []float64
+	losses      [][]float64 // [trainee][step]
 	timing      Timing
 	phases      *telemetry.PhaseRing
 	closed      bool
@@ -197,8 +222,8 @@ type Trainer struct {
 
 // New builds a trainer: Replicas instances of the workload, each Setup
 // with an identical config (bit-identical initial variables) at the
-// chunk micro-batch size, each with its own session on the shared
-// pool.
+// chunk micro-batch size, fused len(LRScales) wide when that exceeds
+// one, each with its own session on the shared pool.
 func New(name string, opts Options) (*Trainer, error) {
 	if opts.Replicas < 1 {
 		opts.Replicas = 1
@@ -215,6 +240,11 @@ func New(name string, opts Options) (*Trainer, error) {
 	if opts.Chunks%opts.Replicas != 0 {
 		return nil, fmt.Errorf("dist: replicas %d does not divide chunks %d", opts.Replicas, opts.Chunks)
 	}
+	scales := slices.Clone(opts.LRScales)
+	if len(scales) == 0 {
+		scales = []float32{1}
+	}
+	width := len(scales)
 	chunkBatch := 0 // 0 = the workload's preset batch
 	if opts.GlobalBatch > 0 {
 		if opts.GlobalBatch%opts.Chunks != 0 {
@@ -222,7 +252,11 @@ func New(name string, opts Options) (*Trainer, error) {
 		}
 		chunkBatch = opts.GlobalBatch / opts.Chunks
 	}
-	t := &Trainer{name: name, opts: opts, pool: opts.Pool, phases: telemetry.NewPhaseRing(phaseRingSize)}
+	t := &Trainer{
+		name: name, opts: opts, scales: scales, pool: opts.Pool,
+		losses: make([][]float64, width),
+		phases: telemetry.NewPhaseRing(phaseRingSize),
+	}
 	// Until construction succeeds, any error return must release the
 	// sessions (and their shared-pool leases) built so far.
 	built := false
@@ -238,7 +272,10 @@ func New(name string, opts Options) (*Trainer, error) {
 		}
 		tr, ok := m.(Trainable)
 		if !ok {
-			return nil, fmt.Errorf("dist: workload %s is not data-parallel trainable (wants core.TrainSampler + TrainPlan)", name)
+			return nil, fmt.Errorf("dist: workload %s is not trainable (wants core.TrainSampler + TrainPlan)", name)
+		}
+		if _, perStep := m.(StepListener); perStep && width > 1 {
+			return nil, fmt.Errorf("dist: workload %s advances out-of-graph state per step and cannot fuse", name)
 		}
 		if err := m.Setup(core.Config{Preset: opts.Preset, Seed: opts.Seed, Batch: chunkBatch}); err != nil {
 			return nil, fmt.Errorf("dist: setup %s replica %d: %w", name, r, err)
@@ -247,13 +284,15 @@ func New(name string, opts Options) (*Trainer, error) {
 		if plan == nil {
 			return nil, fmt.Errorf("dist: workload %s has no TrainPlan after Setup", name)
 		}
+		rg := plainGraph(tr)
+		if width > 1 {
+			if rg, err = transform(tr, width); err != nil {
+				return nil, err
+			}
+		}
 		// Build the fed-gradient apply path eagerly so every replica
 		// graph has it (checkpoints then agree across replica counts).
-		scale := opts.LRScale
-		if scale == 0 {
-			scale = 1
-		}
-		applyNode, gradIn, err := plan.DistApplyScaled(scale)
+		applyNode, gradIn, err := plan.ApplyPath(rg.params, scales)
 		if err != nil {
 			return nil, fmt.Errorf("dist: %s apply path: %w", name, err)
 		}
@@ -270,23 +309,19 @@ func New(name string, opts Options) (*Trainer, error) {
 		}
 		rep := &replica{
 			model:      tr,
-			sess:       runtime.NewSession(m.Graph(), sessOpts...),
-			fetches:    append([]*graph.Node{plan.Loss()}, plan.Grads()...),
-			inputs:     map[string]*graph.Node{},
+			graph:      rg,
+			sess:       runtime.NewSession(rg.g, sessOpts...),
+			fetches:    append([]*graph.Node{rg.loss}, rg.grads...),
 			applyNode:  applyNode,
 			applyFeeds: make(runtime.Feeds, len(gradIn)),
 			feeds:      runtime.Feeds{},
 		}
-		for _, in := range m.Signature(core.ModeTraining).Inputs {
-			rep.inputs[in.Name] = in.Node
-		}
 		if r == 0 {
-			t.params = len(plan.Params())
 			if chunkBatch == 0 {
 				chunkBatch = m.Signature(core.ModeTraining).BatchCapacity()
 			}
-			t.comb = make([]*tensor.Tensor, t.params)
-			for p, pn := range plan.Params() {
+			t.comb = make([]*tensor.Tensor, len(rg.params))
+			for p, pn := range rg.params {
 				t.comb[p] = tensor.New(pn.Shape()...)
 			}
 		}
@@ -303,7 +338,7 @@ func New(name string, opts Options) (*Trainer, error) {
 	per := part.ChunksPerReplica()
 	for r, rep := range t.replicas {
 		rep.lo, rep.hi = part.Range(r)
-		rep.chunkLoss = make([]float64, per)
+		rep.chunkLoss = make([]float64, per*width)
 		rep.chunkGrads = make([][]*tensor.Tensor, per)
 	}
 	// The all-reduce work list: every parameter split into element
@@ -337,8 +372,36 @@ func (t *Trainer) Partition() dataset.Partition { return t.part }
 // Steps returns the number of applied global steps.
 func (t *Trainer) Steps() int { return t.step }
 
-// Losses returns the per-step global losses so far.
-func (t *Trainer) Losses() []float64 { return t.losses }
+// Width returns the number of trainees, len(Options.LRScales) or 1.
+func (t *Trainer) Width() int { return len(t.scales) }
+
+// Losses returns trainee 0's per-step global losses so far.
+func (t *Trainer) Losses() []float64 { return t.losses[0] }
+
+// TraineeLosses returns trainee k's per-step global losses so far.
+func (t *Trainer) TraineeLosses(k int) []float64 { return t.losses[k] }
+
+// ParamNames returns the trainable parameter names, in plan order.
+func (t *Trainer) ParamNames() []string {
+	var names []string
+	for _, p := range t.replicas[0].model.TrainPlan().Params() {
+		names = append(names, p.Name())
+	}
+	return names
+}
+
+// TraineeParams returns trainee k's parameter tensors, in plan order:
+// views into replica 0's variables, sliced from the stacks when fused.
+func (t *Trainer) TraineeParams(k int) []*tensor.Tensor {
+	plain := t.replicas[0].model.TrainPlan().Params()
+	out := make([]*tensor.Tensor, len(plain))
+	for i, p := range t.replicas[0].graph.params {
+		shape := plain[i].Shape()
+		s := tensor.SizeOf(shape)
+		out[i] = tensor.FromSlice(p.Value().Data()[k*s:(k+1)*s], shape...)
+	}
+	return out
+}
 
 // Timing returns the accumulated phase walls.
 func (t *Trainer) Timing() Timing { return t.timing }
@@ -381,7 +444,9 @@ func (t *Trainer) UnregisterMetrics(reg *telemetry.Registry) {
 }
 
 // Replica exposes replica r's model (tests compare variable bits
-// across trainers; examples inspect the trained graph).
+// across trainers). At width > 1 the model's graph is the fusion
+// template, which training never touches; read trained values through
+// TraineeParams.
 func (t *Trainer) Replica(r int) core.Model { return t.replicas[r].model }
 
 // Close closes every replica session and releases the trainer's lease
@@ -472,19 +537,24 @@ func (t *Trainer) gradPhase(r *replica) {
 		}
 		clear(r.feeds)
 		for name, v := range sample {
-			node, ok := r.inputs[name]
+			node, ok := r.graph.inputs[name]
 			if !ok {
 				r.err = fmt.Errorf("dist: %s sampled unknown training input %q", t.name, name)
 				return
 			}
-			r.feeds[node] = v
+			if node != nil { // nil: outside the fused closure, read by no fetch
+				r.feeds[node] = v
+			}
 		}
 		out, err := r.sess.Run(r.fetches, r.feeds)
 		if err != nil {
 			r.err = fmt.Errorf("dist: %s chunk %d: %w", t.name, c, err)
 			return
 		}
-		r.chunkLoss[ci] = float64(out[0].Data()[0])
+		w, lv := len(t.scales), out[0].Data()
+		for k := 0; k < w; k++ {
+			r.chunkLoss[ci*w+k] = float64(lv[k])
+		}
 		r.chunkGrads[ci] = out[1:]
 	}
 	r.gradWall = time.Since(t0)
@@ -581,8 +651,9 @@ func (t *Trainer) applyPhase(r *replica) {
 
 // Step executes one global training step — gradients over the chunk
 // grid, deterministic all-reduce, one identical update per replica —
-// and returns the global loss: the mean of the per-chunk losses,
-// combined in ascending chunk order.
+// and returns trainee 0's global loss: the mean of its per-chunk
+// losses, combined in ascending chunk order (TraineeLosses has every
+// trainee's).
 func (t *Trainer) Step() (float64, error) {
 	if t.closed {
 		return 0, ErrClosed
@@ -619,15 +690,18 @@ func (t *Trainer) Step() (float64, error) {
 		}
 	}
 
-	// Global loss: ascending-chunk mean — float64 accumulation in a
-	// fixed order, so the loss trajectory is replica-count invariant
-	// bit for bit.
-	var loss float64
-	for c := 0; c < t.part.Chunks; c++ {
-		r := t.replicas[t.part.Owner(c)]
-		loss += r.chunkLoss[c-r.lo]
+	// Global loss per trainee: ascending-chunk mean — float64
+	// accumulation in a fixed order, so the loss trajectory is
+	// replica-count invariant bit for bit.
+	w := len(t.scales)
+	for k := range t.losses {
+		var loss float64
+		for c := 0; c < t.part.Chunks; c++ {
+			r := t.replicas[t.part.Owner(c)]
+			loss += r.chunkLoss[(c-r.lo)*w+k]
+		}
+		t.losses[k] = append(t.losses[k], loss/float64(t.part.Chunks))
 	}
-	loss /= float64(t.part.Chunks)
 
 	// Phase telemetry: the step's wall-time decomposition, keyed by
 	// the slowest replica's sample and grad walls (the parallel
@@ -645,112 +719,115 @@ func (t *Trainer) Step() (float64, error) {
 	})
 
 	t.step++
-	t.losses = append(t.losses, loss)
 	t.timing.Steps++
 	t.timing.Wall += time.Since(t0)
-	return loss, nil
+	return t.losses[0][len(t.losses[0])-1], nil
 }
 
-// Train runs n global steps, returning the per-step losses.
+// Train runs n global steps, returning trainee 0's per-step losses.
 func (t *Trainer) Train(n int) ([]float64, error) {
-	start := len(t.losses)
+	start := len(t.losses[0])
 	for i := 0; i < n; i++ {
 		if _, err := t.Step(); err != nil {
 			return nil, err
 		}
 	}
-	return t.losses[start:], nil
+	return t.losses[0][start:], nil
 }
 
 // Checkpointing: a dist checkpoint is a small header — magic, version,
-// the global step counter, and the training-stream coordinates (chunk
-// count, chunk batch, seed) — followed by a standard runtime
-// checkpoint of replica 0's graph (all replicas are bitwise identical,
-// any one serves). The step counter makes a resumed run continue the
-// same per-(step, chunk) data and RNG streams; the stream coordinates
-// are validated on load, because a resumed run under a different chunk
-// grid or seed would draw different data and silently diverge from the
-// donor — the contract deliberately leaves only the replica count
-// free. Loading restores the same bytes into EVERY replica's graph, so
-// a resumed trainer is in lockstep immediately — at any replica count
-// dividing the chunk grid, which is what makes checkpoints the interop
-// point between replica counts: save under 2 replicas, resume under 1
-// or 4, and the continuations are bit-identical to each other.
-// (Optimizer slot state is operation state, not a graph variable, and
-// is not checkpointed — restore resets it identically on every
-// replica, so cross-replica-count equality is unaffected; for slotless
-// optimizers such as plain SGD a resumed run also matches the
-// uninterrupted one bit for bit.)
+// the global step counter, the training-stream coordinates (chunk
+// count, chunk batch, seed) and the trainees' learning-rate scales,
+// which also fix the width — followed by a standard runtime checkpoint
+// of replica 0's graph (all replicas are bitwise identical, any one
+// serves). The graph's variables include the optimizer slots
+// ("<var>/slot/<name>"), so a resumed run continues the exact
+// optimizer trajectory. The step counter makes a resumed run continue
+// the same per-(step, chunk) data and RNG streams. The stream
+// coordinates and scales are validated before any variable is
+// restored: a resumed run under a different chunk grid, seed or scale
+// would silently diverge from the donor, and a different width would
+// not fit its stacked variables. The contract deliberately leaves only
+// the replica count free. Loading restores the same bytes into EVERY
+// replica's graph, so a resumed trainer is in lockstep immediately — at
+// any replica count dividing the chunk grid, which is what makes
+// checkpoints the interop point between replica counts: save under 2
+// replicas, resume under 1 or 4, and the continuations are
+// bit-identical to each other and to the uninterrupted run.
 const (
 	checkpointMagic   = "FDST"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
-// SaveCheckpoint writes the trainer's state: step header plus replica
-// 0's variables.
+// checkpointHeader is the fixed-size header; Width learning-rate
+// scales (float32) follow it.
+type checkpointHeader struct {
+	Magic              [4]byte
+	Version            uint32
+	Step               uint64
+	Chunks, ChunkBatch uint32
+	Seed               int64
+	Width              uint32
+}
+
+// SaveCheckpoint writes the trainer's state: the header, the trainee
+// scales, then replica 0's variables.
 func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 	if t.closed {
 		return ErrClosed
 	}
-	if _, err := w.Write([]byte(checkpointMagic)); err != nil {
+	h := checkpointHeader{
+		Version:    checkpointVersion,
+		Step:       uint64(t.step),
+		Chunks:     uint32(t.part.Chunks),
+		ChunkBatch: uint32(t.part.ChunkBatch()),
+		Seed:       t.opts.Seed,
+		Width:      uint32(len(t.scales)),
+	}
+	copy(h.Magic[:], checkpointMagic)
+	if err := binary.Write(w, binary.LittleEndian, h); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(checkpointVersion)); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, t.scales); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(t.step)); err != nil {
-		return err
-	}
-	for _, v := range []uint32{uint32(t.part.Chunks), uint32(t.part.ChunkBatch())} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, t.opts.Seed); err != nil {
-		return err
-	}
-	return runtime.SaveCheckpoint(w, t.replicas[0].model.Graph())
+	return runtime.SaveCheckpoint(w, t.replicas[0].graph.g)
 }
 
 // LoadCheckpoint restores every replica's variables and the global
-// step counter from a dist checkpoint.
+// step counter from a dist checkpoint. It refuses a checkpoint from a
+// different chunk grid, seed, width or learning-rate scales before
+// restoring anything.
 func (t *Trainer) LoadCheckpoint(r io.Reader) error {
 	if t.closed {
 		return ErrClosed
 	}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("dist: reading checkpoint magic: %w", err)
+	var h checkpointHeader
+	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
+		return fmt.Errorf("dist: reading checkpoint header: %w", err)
 	}
-	if string(magic) != checkpointMagic {
-		return fmt.Errorf("dist: not a dist checkpoint (magic %q)", magic)
+	if string(h.Magic[:]) != checkpointMagic {
+		return fmt.Errorf("dist: not a dist checkpoint (magic %q)", h.Magic[:])
 	}
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return err
+	if h.Version != checkpointVersion {
+		return fmt.Errorf("dist: unsupported checkpoint version %d", h.Version)
 	}
-	if version != checkpointVersion {
-		return fmt.Errorf("dist: unsupported checkpoint version %d", version)
-	}
-	var step uint64
-	if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
-		return err
-	}
-	var chunks, chunkBatch uint32
-	var seed int64
-	if err := binary.Read(r, binary.LittleEndian, &chunks); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &chunkBatch); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &seed); err != nil {
-		return err
-	}
-	if int(chunks) != t.part.Chunks || int(chunkBatch) != t.part.ChunkBatch() || seed != t.opts.Seed {
+	if int(h.Chunks) != t.part.Chunks || int(h.ChunkBatch) != t.part.ChunkBatch() || h.Seed != t.opts.Seed {
 		return fmt.Errorf(
 			"dist: checkpoint trained with chunks %d × batch %d, seed %d; this trainer uses chunks %d × batch %d, seed %d — only the replica count may change across a resume",
-			chunks, chunkBatch, seed, t.part.Chunks, t.part.ChunkBatch(), t.opts.Seed)
+			h.Chunks, h.ChunkBatch, h.Seed, t.part.Chunks, t.part.ChunkBatch(), t.opts.Seed)
+	}
+	if int(h.Width) != len(t.scales) {
+		return fmt.Errorf("dist: checkpoint trained %d trainees; this trainer has %d", h.Width, len(t.scales))
+	}
+	scales := make([]float32, h.Width)
+	if err := binary.Read(r, binary.LittleEndian, scales); err != nil {
+		return fmt.Errorf("dist: reading checkpoint scales: %w", err)
+	}
+	for k, s := range scales {
+		if math.Float32bits(s) != math.Float32bits(t.scales[k]) {
+			return fmt.Errorf("dist: checkpoint trainee %d trained at learning-rate scale %g; this trainer uses %g", k, s, t.scales[k])
+		}
 	}
 	// The runtime checkpoint is consumed once; replay the bytes into
 	// every replica graph.
@@ -759,10 +836,10 @@ func (t *Trainer) LoadCheckpoint(r io.Reader) error {
 		return err
 	}
 	for i, rep := range t.replicas {
-		if err := runtime.LoadCheckpoint(bytes.NewReader(body), rep.model.Graph(), false); err != nil {
+		if err := runtime.LoadCheckpoint(bytes.NewReader(body), rep.graph.g, false); err != nil {
 			return fmt.Errorf("dist: restoring replica %d: %w", i, err)
 		}
 	}
-	t.step = int(step)
+	t.step = int(h.Step)
 	return nil
 }

@@ -85,7 +85,7 @@ func run(t *testing.T, name string, replicas, intraop, steps int) snapshot {
 // one representative stochastic workload (autoenc: VAE sampling in the
 // forward pass): fixed global batch, chunk grid and seed ⇒
 // bit-identical losses and final variables across replica counts and
-// across replica × intra-op widths. The full nine-workload sweep lives
+// across replica × intra-op widths. The full ten-workload sweep lives
 // in the cross-workload determinism harness
 // (internal/models/determinism_test.go).
 func TestReplicaCountInvariance(t *testing.T) {
@@ -136,9 +136,8 @@ func TestReplicasStayInLockstep(t *testing.T) {
 
 // TestCheckpointReplicaInterop is the checkpoint interoperability
 // contract: save under 2 replicas, resume under 1, 2 and 4 — the
-// continuations must be bit-identical to each other (and, for a
-// slotless-optimizer workload like memnet's SGD, to the uninterrupted
-// donor as well).
+// continuations must be bit-identical to each other and to the
+// uninterrupted donor.
 func TestCheckpointReplicaInterop(t *testing.T) {
 	const warm, resume = 2, 3
 	pool := sched.New(8)
@@ -185,11 +184,14 @@ func TestCheckpointReplicaInterop(t *testing.T) {
 	}
 
 	// Only the replica count may change across a resume: a different
-	// chunk grid or seed would draw different per-chunk data and
-	// silently diverge, so LoadCheckpoint refuses it.
+	// chunk grid, seed or learning-rate scale would silently diverge,
+	// and a different width would not fit the stacked variables, so
+	// LoadCheckpoint refuses them.
 	for _, bad := range []dist.Options{
 		{Replicas: 2, Chunks: 8, Preset: core.PresetTiny, Seed: 9, Pool: pool},
 		{Replicas: 2, Chunks: 4, Preset: core.PresetTiny, Seed: 10, Pool: pool},
+		{Replicas: 2, Chunks: 4, Preset: core.PresetTiny, Seed: 9, LRScales: []float32{1, 1}, Pool: pool},
+		{Replicas: 2, Chunks: 4, Preset: core.PresetTiny, Seed: 9, LRScales: []float32{0.5}, Pool: pool},
 	} {
 		tr, err := dist.New("memnet", bad)
 		if err != nil {

@@ -1,35 +1,40 @@
-package fuse
+package dist
 
 import (
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/models/nn"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
-// fusedPlan is the output of the horizontal-fusion transform: one
-// graph training K instances of the template workload at once, plus
-// the fetch/feed surface the Array driver needs.
-type fusedPlan struct {
+// replicaGraph is the training surface a replica drives: its workload's
+// own graph, or a fused graph stacking K trainees (transform).
+type replicaGraph struct {
 	g *graph.Graph
-	// loss is the stacked per-trainee loss vector, shape (K).
+	// loss is the scalar training loss, or when fused the stacked
+	// per-trainee loss vector, shape (K).
 	loss *graph.Node
-	// grads are the stacked raw gradients, shape (K, *param), aligned
-	// with params.
+	// grads are the raw gradients, aligned with params.
 	grads []*graph.Node
-	// params are the stacked trainable variables, template order.
+	// params are the trainable variables in plan order, stacked to
+	// (K, *param) when fused.
 	params []*graph.Node
-	// inputs maps training-signature input names to the fused (shared)
-	// placeholders. Inputs outside the training closure are absent.
+	// inputs maps every training-signature input name to its
+	// placeholder, or to nil when the input lies outside the fused
+	// closure and no fetch reads it.
 	inputs map[string]*graph.Node
-	// apply/gradIn is the fed-gradient update path: feed the combined
-	// stacked gradients into gradIn and fetch apply for one optimizer
-	// step per trainee, each at its own learning rate.
-	apply  *graph.Node
-	gradIn []*graph.Node
+}
+
+// plainGraph is the width-1 replica: the workload's own graph.
+func plainGraph(m Trainable) *replicaGraph {
+	plan := m.TrainPlan()
+	rg := &replicaGraph{g: m.Graph(), loss: plan.Loss(), grads: plan.Grads(), params: plan.Params(), inputs: map[string]*graph.Node{}}
+	for _, in := range m.Signature(core.ModeTraining).Inputs {
+		rg.inputs[in.Name] = in.Node
+	}
+	return rg
 }
 
 // mapped is a template node's image in the fused graph: the fused node
@@ -53,7 +58,7 @@ type mapped struct {
 // stacked operands, or replaced by the fused dropout pair, so every
 // trainee's arithmetic and the session's RNG draw order are exactly
 // those of a standalone run.
-func transform(m Trainable, k int, scales []float32) (*fusedPlan, error) {
+func transform(m Trainable, k int) (*replicaGraph, error) {
 	plan := m.TrainPlan()
 	params := plan.Params()
 	paramIdx := make(map[*graph.Node]int, len(params))
@@ -110,7 +115,7 @@ func transform(m Trainable, k int, scales []float32) (*fusedPlan, error) {
 		for i, in := range n.Inputs() {
 			mv, ok := mp[in]
 			if !ok {
-				return nil, fmt.Errorf("fuse: %s: input %s of %s escaped the topological walk", m.Name(), in, n)
+				return nil, fmt.Errorf("dist: %s: input %s of %s escaped the topological walk", m.Name(), in, n)
 			}
 			ins[i] = mv
 			anyStacked = anyStacked || mv.stacked
@@ -124,7 +129,7 @@ func transform(m Trainable, k int, scales []float32) (*fusedPlan, error) {
 			if src, ok := ops.DropoutGradSrc(op); ok {
 				fd, seen := dropMap[src]
 				if !seen {
-					return nil, false, fmt.Errorf("fuse: %s: dropout gradient precedes its forward op", m.Name())
+					return nil, false, fmt.Errorf("dist: %s: dropout gradient precedes its forward op", m.Name())
 				}
 				g, err := ops.ArrayDropoutGrad(fd, ensureStacked(ins[0]))
 				return g, true, err
@@ -142,7 +147,7 @@ func transform(m Trainable, k int, scales []float32) (*fusedPlan, error) {
 					nd, err := fg.Apply(op)
 					return nd, false, err
 				}
-				return nil, false, fmt.Errorf("fuse: %s: cannot fuse impure op %s", m.Name(), op.Name())
+				return nil, false, fmt.Errorf("dist: %s: cannot fuse impure op %s", m.Name(), op.Name())
 			}
 			if !anyStacked {
 				// Computed purely from shared operands: computed once,
@@ -177,7 +182,7 @@ func transform(m Trainable, k int, scales []float32) (*fusedPlan, error) {
 		mp[n] = mapped{fn, stacked}
 	}
 
-	out := &fusedPlan{
+	out := &replicaGraph{
 		g:      fg,
 		loss:   ensureStacked(mp[plan.Loss()]),
 		params: fusedParams,
@@ -187,44 +192,7 @@ func transform(m Trainable, k int, scales []float32) (*fusedPlan, error) {
 		out.grads = append(out.grads, ensureStacked(mp[g]))
 	}
 	for _, in := range m.Signature(core.ModeTraining).Inputs {
-		if mv, ok := mp[in.Node]; ok {
-			out.inputs[in.Name] = mv.node
-		}
+		out.inputs[in.Name] = mp[in.Node].node
 	}
-
-	// Fed-gradient apply path: the template recipe rebuilt over the
-	// parameter stacks, with trainee kk stepping at lr × scales[kk] —
-	// each rate the single float32 product a standalone run at that
-	// scale uses, so the update rules match bit for bit.
-	opt, lr, clip := plan.Recipe()
-	lrs := make([]float32, k)
-	for i, s := range scales {
-		lrs[i] = lr * s
-	}
-	updates := make([]*graph.Node, len(fusedParams))
-	out.gradIn = make([]*graph.Node, len(fusedParams))
-	for i, p := range fusedParams {
-		in := fg.Placeholder("fuse/grad/"+params[i].Name(), p.Shape()...)
-		out.gradIn[i] = in
-		fed := in
-		if clip > 0 {
-			fed = ops.Maximum(ops.Minimum(fed, ops.ScalarConst(fg, clip)), ops.ScalarConst(fg, -clip))
-		}
-		switch opt {
-		case nn.SGD:
-			updates[i] = ops.ApplyArraySGD(p, fed, lrs)
-		case nn.Momentum:
-			updates[i] = ops.ApplyArrayMomentum(p, fed, lrs, 0.9)
-		case nn.RMSProp:
-			updates[i] = ops.ApplyArrayRMSProp(p, fed, lrs, 0.95, 0.01)
-		case nn.Adam:
-			updates[i] = ops.ApplyArrayAdam(p, fed, lrs, 0.9, 0.999, 1e-8)
-		case nn.Adagrad:
-			updates[i] = ops.ApplyArrayAdagrad(p, fed, lrs, 1e-8)
-		default:
-			return nil, fmt.Errorf("fuse: %s: unknown optimizer %d", m.Name(), opt)
-		}
-	}
-	out.apply = ops.Group(fg, updates...)
 	return out, nil
 }

@@ -7,29 +7,41 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/fuse"
 	"repro/internal/profiling"
 	"repro/internal/telemetry"
 )
 
-// trainRun is one data-parallel training measurement.
+// trainRun is one training measurement.
 type trainRun struct {
-	losses []float64
+	losses [][]float64 // [trainee][step]
 	timing dist.Timing
 	batch  int
 	chunks int
 }
 
+// unitScales is width trainees at learning-rate scale 1: pure
+// replication, so every trainee must reproduce the width-1 run bit for
+// bit.
+func unitScales(width int) []float32 {
+	s := make([]float32, width)
+	for i := range s {
+		s[i] = 1
+	}
+	return s
+}
+
 // runTrain trains one workload for o.Warmup untimed plus steps timed
-// global steps at the given replica count on the process-wide pool —
-// warmup compiles every replica's forward/backward and apply plans, so
-// the reported timings are steady-state, as in every other experiment.
-func runTrain(name string, o Options, replicas, chunks, intraop, steps int) (trainRun, error) {
+// global steps at the given replica count and fused width on the
+// process-wide pool — warmup compiles every replica's forward/backward
+// and apply plans, so the reported timings are steady-state, as in
+// every other experiment.
+func runTrain(name string, o Options, replicas, width, chunks, intraop, steps int) (trainRun, error) {
 	tr, err := dist.New(name, dist.Options{
 		Replicas:       replicas,
 		Chunks:         chunks,
 		Preset:         o.Preset,
 		Seed:           o.Seed,
+		LRScales:       unitScales(width),
 		IntraOpWorkers: intraop,
 	})
 	if err != nil {
@@ -43,48 +55,13 @@ func runTrain(name string, o Options, replicas, chunks, intraop, steps int) (tra
 	if _, err := tr.Train(steps); err != nil {
 		return trainRun{}, err
 	}
-	return trainRun{
-		losses: append([]float64(nil), tr.Losses()...),
+	out := trainRun{
 		timing: tr.Timing(),
 		batch:  tr.Partition().GlobalBatch,
 		chunks: tr.Partition().Chunks,
-	}, nil
-}
-
-// fusedRun is one horizontally fused training measurement: width
-// trainees stacked into a single array-batched graph (internal/fuse).
-type fusedRun struct {
-	losses [][]float64 // [trainee][step]
-	timing fuse.Timing
-	width  int
-}
-
-// runFused trains width fused instances of the workload (pure
-// replication: every trainee at learning-rate scale 1, so each must
-// reproduce the 1-replica dist run bit for bit) over the same chunk
-// grid, warmup untimed plus steps timed.
-func runFused(name string, o Options, width, chunks, intraop, steps int) (fusedRun, error) {
-	arr, err := fuse.New(name, fuse.Options{
-		Width:          width,
-		Chunks:         chunks,
-		Preset:         o.Preset,
-		Seed:           o.Seed,
-		IntraOpWorkers: intraop,
-	})
-	if err != nil {
-		return fusedRun{}, err
 	}
-	defer arr.Close()
-	if err := arr.Train(o.Warmup); err != nil {
-		return fusedRun{}, err
-	}
-	arr.ResetTiming()
-	if err := arr.Train(steps); err != nil {
-		return fusedRun{}, err
-	}
-	out := fusedRun{timing: arr.Timing(), width: width}
 	for k := 0; k < width; k++ {
-		out.losses = append(out.losses, append([]float64(nil), arr.Losses(k)...))
+		out.losses = append(out.losses, append([]float64(nil), tr.TraineeLosses(k)...))
 	}
 	return out, nil
 }
@@ -153,12 +130,12 @@ func sameLosses(a, b []float64) bool {
 // at 1 replica and at `replicas` replicas on the shared worker pool
 // and puts the achieved wall-clock speedup next to the achievable
 // bound the run's own phase structure admits (profiling.TrainScaling).
-// With fused > 0 it additionally trains a horizontally fused array of
-// that width (internal/fuse) and reports its trainee-step throughput
-// against the sequential-standalone baseline. The ident columns
-// live-check the two subsystems' headline invariant — replica counts
-// only repartition the chunk grid, and fused trainees reproduce
-// standalone runs, so every loss trajectory must be bit-identical.
+// With fused > 0 it additionally trains one fused replica of that
+// width and reports its trainee-step throughput against the
+// sequential-standalone baseline. The ident columns live-check the
+// driver's headline invariant — replica counts only repartition the
+// chunk grid, and fused trainees reproduce standalone runs, so every
+// loss trajectory must be bit-identical.
 // Alongside the Result it returns the BENCH_train.json payload.
 func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []string) (Result, *TrainBench, error) {
 	o = o.withDefaults()
@@ -193,15 +170,15 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 	csv.WriteString("workload,replicas,chunks,global_batch,steps,final_loss,serial_steps_per_s,parallel_steps_per_s,achieved,achievable,bit_identical,fused_width,fused_trainee_steps_per_s,fused_speedup,fused_identical\n")
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		base, err := runTrain(name, o, 1, chunks, intraop, o.Steps)
+		base, err := runTrain(name, o, 1, 1, chunks, intraop, o.Steps)
 		if err != nil {
 			return Result{}, nil, fmt.Errorf("train %s replicas=1: %w", name, err)
 		}
-		par, err := runTrain(name, o, replicas, chunks, intraop, o.Steps)
+		par, err := runTrain(name, o, replicas, 1, chunks, intraop, o.Steps)
 		if err != nil {
 			return Result{}, nil, fmt.Errorf("train %s replicas=%d: %w", name, replicas, err)
 		}
-		ident := sameLosses(base.losses, par.losses)
+		ident := sameLosses(base.losses[0], par.losses[0])
 		ts := profiling.TrainScaling(replicas,
 			base.timing.Wall, par.timing.Wall,
 			par.timing.GradSum, par.timing.GradMax, par.timing.Reduce, par.timing.Apply)
@@ -214,25 +191,23 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 		serialRate := perSec(base.timing.Steps, base.timing.Wall.Seconds())
 		parRate := perSec(par.timing.Steps, par.timing.Wall.Seconds())
 		final := 0.0
-		if len(par.losses) > 0 {
-			final = par.losses[len(par.losses)-1]
+		if l := par.losses[0]; len(l) > 0 {
+			final = l[len(l)-1]
 		}
 
 		fusedRate, fusedX := 0.0, 0.0
 		fusedIdent := true
 		if fused > 0 {
-			fr, err := runFused(name, o, fused, chunks, intraop, o.Steps)
+			fr, err := runTrain(name, o, 1, fused, chunks, intraop, o.Steps)
 			if err != nil {
 				return Result{}, nil, fmt.Errorf("train %s fused=%d: %w", name, fused, err)
 			}
-			fusedRate = perSec(fr.timing.Steps*fr.width, fr.timing.Wall.Seconds())
+			fusedRate = perSec(fr.timing.Steps*fused, fr.timing.Wall.Seconds())
 			if serialRate > 0 {
 				fusedX = fusedRate / serialRate
 			}
-			// Pure replication: every fused trainee must reproduce the
-			// 1-replica trajectory bit for bit.
-			for k := 0; fusedIdent && k < fr.width; k++ {
-				fusedIdent = sameLosses(base.losses, fr.losses[k])
+			for _, l := range fr.losses {
+				fusedIdent = fusedIdent && sameLosses(base.losses[0], l)
 			}
 		}
 
@@ -304,39 +279,32 @@ func TrainPhases(o Options, replicas, chunks, intraop, fused int, names []string
 	fmt.Fprintf(&text, "training phase telemetry: %d warmup + %d timed steps, %d chunks/step, %d replicas, intra-op %d\n",
 		o.Warmup, o.Steps, chunks, replicas, intraop)
 	text.WriteString("phases: sample (input synthesis, included in grad), grad (forward+backward run), reduce (gradient averaging), apply (optimizer)\n")
+	type phaseRun struct {
+		label           string
+		replicas, width int
+	}
+	runs := []phaseRun{{fmt.Sprintf("dist, %d replicas", replicas), replicas, 1}}
+	if fused > 0 {
+		runs = append(runs, phaseRun{fmt.Sprintf("fused, width %d", fused), 1, fused})
+	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		tr, err := dist.New(name, dist.Options{
-			Replicas: replicas, Chunks: chunks,
-			Preset: o.Preset, Seed: o.Seed, IntraOpWorkers: intraop,
-		})
-		if err != nil {
-			return Result{}, fmt.Errorf("train -trace %s: %w", name, err)
-		}
-		if _, err := tr.Train(o.Warmup + o.Steps); err != nil {
-			tr.Close()
-			return Result{}, fmt.Errorf("train -trace %s: %w", name, err)
-		}
-		phases := tr.PhaseLog()
-		tr.Close()
-		fmt.Fprintf(&text, "\n%s (dist, %d replicas):\n", name, replicas)
-		telemetry.WritePhaseTable(&text, phases)
-		if fused > 0 {
-			arr, err := fuse.New(name, fuse.Options{
-				Width: fused, Chunks: chunks,
+		for _, run := range runs {
+			tr, err := dist.New(name, dist.Options{
+				Replicas: run.replicas, LRScales: unitScales(run.width), Chunks: chunks,
 				Preset: o.Preset, Seed: o.Seed, IntraOpWorkers: intraop,
 			})
 			if err != nil {
-				return Result{}, fmt.Errorf("train -trace %s fused=%d: %w", name, fused, err)
+				return Result{}, fmt.Errorf("train -trace %s (%s): %w", name, run.label, err)
 			}
-			if err := arr.Train(o.Warmup + o.Steps); err != nil {
-				arr.Close()
-				return Result{}, fmt.Errorf("train -trace %s fused=%d: %w", name, fused, err)
+			_, err = tr.Train(o.Warmup + o.Steps)
+			phases := tr.PhaseLog()
+			tr.Close()
+			if err != nil {
+				return Result{}, fmt.Errorf("train -trace %s (%s): %w", name, run.label, err)
 			}
-			fphases := arr.PhaseLog()
-			arr.Close()
-			fmt.Fprintf(&text, "\n%s (fused, width %d):\n", name, fused)
-			telemetry.WritePhaseTable(&text, fphases)
+			fmt.Fprintf(&text, "\n%s (%s):\n", name, run.label)
+			telemetry.WritePhaseTable(&text, phases)
 		}
 	}
 	return Result{

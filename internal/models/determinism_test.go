@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/fuse"
 	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/tensor"
@@ -246,7 +245,7 @@ func standaloneScaled(t *testing.T, name string, scale float32, trainSteps int) 
 		Chunks:   4,
 		Preset:   core.PresetTiny,
 		Seed:     3,
-		LRScale:  scale,
+		LRScales: []float32{scale},
 		Pool:     pool,
 	})
 	if err != nil {
@@ -266,23 +265,26 @@ func standaloneScaled(t *testing.T, name string, scale float32, trainSteps int) 
 }
 
 // TestFusedArrayDeterminism extends the harness to horizontally fused
-// training (internal/fuse): for every fuseable workload, each trainee
-// of a fused array — K instances stacked into one graph, diverging
-// only by learning-rate scale — must reproduce its standalone run bit
-// for bit, per-step losses and final parameters, across fusion widths
-// K ∈ {1, 2, 4} and fused intra-op widths {1, 4}. deepq is excluded by
+// training (dist's fused replicas): for every fuseable workload, each
+// trainee of a fused array — K instances stacked into one graph,
+// diverging only by learning-rate scale — must reproduce its
+// standalone run bit for bit, per-step losses and final parameters,
+// across fusion widths K ∈ {2, 4}, fused intra-op widths {1, 4}, and
+// K-wide fused arrays as 2 data-parallel replicas (K×N trainees, one
+// all-reduce over the stacked parameters). deepq is excluded by
 // construction: it advances out-of-graph state per step.
 func TestFusedArrayDeterminism(t *testing.T) {
 	const trainSteps = 2
 	scales := []float32{1, 0.5, 2, 0.25}
 	widths := []struct {
-		label    string
-		k, intra int
+		label              string
+		k, replicas, intra int
 	}{
-		{"fused 1", 1, 1},
-		{"fused 2", 2, 1},
-		{"fused 4", 4, 1},
-		{"fused 4 × intraop 4", 4, 4},
+		{"fused 2", 2, 1, 1},
+		{"width 2 × replicas 2", 2, 2, 1},
+		{"fused 4", 4, 1, 1},
+		{"fused 4 × intraop 4", 4, 1, 4},
+		{"width 4 × replicas 2 × intraop 4", 4, 2, 4},
 	}
 	for _, name := range allNames {
 		if name == "deepq" {
@@ -306,8 +308,8 @@ func TestFusedArrayDeterminism(t *testing.T) {
 					break // -short keeps the width axis, trims the matrix tail
 				}
 				pool := sched.New(8)
-				arr, err := fuse.New(name, fuse.Options{
-					Width:          w.k,
+				arr, err := dist.New(name, dist.Options{
+					Replicas:       w.replicas,
 					LRScales:       scales[:w.k],
 					Chunks:         4,
 					Preset:         core.PresetTiny,
@@ -319,7 +321,7 @@ func TestFusedArrayDeterminism(t *testing.T) {
 					pool.Close()
 					t.Fatal(err)
 				}
-				if err := arr.Train(trainSteps); err != nil {
+				if _, err := arr.Train(trainSteps); err != nil {
 					arr.Close()
 					pool.Close()
 					t.Fatal(err)
@@ -327,7 +329,7 @@ func TestFusedArrayDeterminism(t *testing.T) {
 				for k := 0; k < w.k; k++ {
 					want := ref(scales[k])
 					got := fingerprint{
-						losses: arr.Losses(k),
+						losses: arr.TraineeLosses(k),
 						infer:  map[string][]float32{},
 						vars:   map[string][]float32{},
 					}

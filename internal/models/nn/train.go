@@ -11,11 +11,12 @@ import (
 // a workload: the loss, the trainable parameters, their raw gradient
 // nodes, the self-contained optimizer step (TrainOp — the node the
 // classic TrainStep fetches), and the optimizer recipe. It is the
-// gradient/update fetch surface data-parallel training (internal/dist)
-// drives: a dist replica fetches Loss plus Grads to compute one
-// micro-batch's unclipped gradients without touching any variable,
-// and applies an externally combined gradient through the fed-gradient
-// path DistApply builds on first use.
+// gradient/update fetch surface the training driver (internal/dist)
+// uses. A dist replica fetches Loss plus Grads to compute one
+// micro-batch's unclipped gradients without touching any variable, and
+// applies an externally combined gradient through a fed-gradient path
+// built by ApplyPath, over the plan's own parameters or over a fused
+// array's stacked copies of them.
 type TrainPlan struct {
 	g       *graph.Graph
 	loss    *graph.Node
@@ -25,20 +26,6 @@ type TrainPlan struct {
 
 	opt      Optimizer
 	lr, clip float32
-
-	// Fed-gradient apply paths, built lazily by DistApplyScaled and
-	// keyed by learning-rate scale: one placeholder per parameter and
-	// apply-ops reading them. Each path shares the parameters — and
-	// nothing else — with TrainOp: its apply-ops hold their own
-	// optimizer slots, so driving one path never perturbs the other's
-	// state.
-	distPaths map[float32]distPath
-}
-
-// distPath is one scale's fed-gradient apply surface.
-type distPath struct {
-	apply  *graph.Node
-	gradIn []*graph.Node
 }
 
 // Loss returns the scalar training loss node.
@@ -58,55 +45,34 @@ func (tp *TrainPlan) Grads() []*graph.Node { return tp.grads }
 // every parameter.
 func (tp *TrainPlan) TrainOp() *graph.Node { return tp.trainOp }
 
-// DistApply returns the fed-gradient update path, building it on first
-// use: gradIn[i] is a placeholder shaped like Params()[i], and
-// fetching apply performs the recipe's optimizer step — gradient
-// clipping included — reading the fed tensors instead of the live
-// gradients. Every dist replica feeds the same combined tensors and
-// fetches the same node, so all replicas take one identical step. The
-// path is lazy so plain (non-distributed) training never pays for its
-// apply-ops or their optimizer slots.
+// DistApply builds the fed-gradient update path over the plan's own
+// parameters at the recipe's learning rate: ApplyPath(Params(), {1}).
 func (tp *TrainPlan) DistApply() (apply *graph.Node, gradIn []*graph.Node, err error) {
-	return tp.DistApplyScaled(1)
+	return tp.ApplyPath(tp.params, []float32{1})
 }
 
-// DistApplyScaled is DistApply with the recipe's base learning rate
-// multiplied by scale (as a single float32 product, the same
-// arithmetic a horizontally fused array applies per trainee — see
-// internal/fuse), so a standalone run can reproduce one fused
-// trainee's update rule bit for bit. Paths are cached per scale; each
-// holds its own placeholders and optimizer slots.
-func (tp *TrainPlan) DistApplyScaled(scale float32) (apply *graph.Node, gradIn []*graph.Node, err error) {
-	if path, ok := tp.distPaths[scale]; ok {
-		return path.apply, path.gradIn, nil
+// ApplyPath builds a fed-gradient update path over params, which are
+// the plan's parameters or their (K, ...) stacks in a fused graph, in
+// plan order. gradIn[i] is a placeholder shaped like params[i], and
+// fetching apply performs the recipe's optimizer step, gradient
+// clipping included, reading the fed tensors instead of the live
+// gradients. scales holds one learning-rate scale per trainee; trainee
+// k steps at the base rate × scales[k], a single float32 product, so a
+// one-trainee path at scale s is the bit-exact reference for a fused
+// trainee at s. Each call builds new placeholders and optimizer slots;
+// a path shares only the parameters with TrainOp, so driving one never
+// perturbs the other's state.
+func (tp *TrainPlan) ApplyPath(params []*graph.Node, scales []float32) (apply *graph.Node, gradIn []*graph.Node, err error) {
+	if len(params) != len(tp.params) || len(params) == 0 {
+		return nil, nil, fmt.Errorf("nn: apply path over %d parameters, plan has %d", len(params), len(tp.params))
 	}
-	g := tp.g
-	lr := tp.lr * scale
-	prefix := "dist/grad/"
-	if scale != 1 {
-		prefix = fmt.Sprintf("dist/grad@%g/", scale)
+	g := params[0].Graph()
+	gradIn = make([]*graph.Node, len(params))
+	for i, p := range params {
+		gradIn[i] = g.Placeholder("dist/grad/"+tp.params[i].Name(), p.Shape()...)
 	}
-	ins := make([]*graph.Node, len(tp.params))
-	updates := make([]*graph.Node, len(tp.params))
-	for i, p := range tp.params {
-		in := g.Placeholder(prefix+p.Name(), p.Shape()...)
-		ins[i] = in
-		fed := in
-		if tp.clip > 0 {
-			fed = ops.Maximum(ops.Minimum(fed, ops.ScalarConst(g, tp.clip)), ops.ScalarConst(g, -tp.clip))
-		}
-		u, err := applyOne(tp.opt, p, fed, lr)
-		if err != nil {
-			return nil, nil, err
-		}
-		updates[i] = u
-	}
-	if tp.distPaths == nil {
-		tp.distPaths = map[float32]distPath{}
-	}
-	path := distPath{apply: ops.Group(g, updates...), gradIn: ins}
-	tp.distPaths[scale] = path
-	return path.apply, path.gradIn, nil
+	apply, err = tp.applyGroup(g, params, gradIn, scales)
+	return apply, gradIn, err
 }
 
 // Fuse runs the tier-2 epilogue-fusion pass (graph.FuseEpilogues) over
@@ -126,30 +92,37 @@ func (tp *TrainPlan) Fuse(extra ...*graph.Node) int {
 	return graph.FuseEpilogues(tp.g, keep...)
 }
 
-// Recipe exposes the optimizer recipe BuildTraining recorded: the
-// optimizer, its base learning rate, and the elementwise clip bound (0
-// when unclipped). The horizontal-fusion transform (internal/fuse)
-// reads it to rebuild the identical update rule over the fused
-// parameter stack.
-func (tp *TrainPlan) Recipe() (opt Optimizer, lr, clip float32) {
-	return tp.opt, tp.lr, tp.clip
-}
-
-// applyOne adds one optimizer apply-op for param p reading grad.
-func applyOne(opt Optimizer, p, grad *graph.Node, lr float32) (*graph.Node, error) {
-	switch opt {
-	case SGD:
-		return ops.ApplySGD(p, grad, lr), nil
-	case Momentum:
-		return ops.ApplyMomentum(p, grad, lr, 0.9), nil
-	case RMSProp:
-		return ops.ApplyRMSProp(p, grad, lr, 0.95, 0.01), nil
-	case Adam:
-		return ops.ApplyAdam(p, grad, lr, 0.9, 0.999, 1e-8), nil
-	case Adagrad:
-		return ops.ApplyAdagrad(p, grad, lr, 1e-8), nil
+// applyGroup builds the recipe's update of every params[i] by
+// grads[i] — clipped to [-clip, clip] when the recipe clips — with
+// trainee k at lr × scales[k], grouped behind one fetchable node. It is
+// the one place both TrainOp and every fed-gradient path are built.
+func (tp *TrainPlan) applyGroup(g *graph.Graph, params, grads []*graph.Node, scales []float32) (*graph.Node, error) {
+	lrs := make([]float32, len(scales))
+	for k, s := range scales {
+		lrs[k] = tp.lr * s
 	}
-	return nil, fmt.Errorf("nn: unknown optimizer %d", opt)
+	updates := make([]*graph.Node, len(params))
+	for i, p := range params {
+		fed := grads[i]
+		if tp.clip > 0 {
+			fed = ops.Maximum(ops.Minimum(fed, ops.ScalarConst(g, tp.clip)), ops.ScalarConst(g, -tp.clip))
+		}
+		switch tp.opt {
+		case SGD:
+			updates[i] = ops.ApplySGD(p, fed, lrs)
+		case Momentum:
+			updates[i] = ops.ApplyMomentum(p, fed, lrs, 0.9)
+		case RMSProp:
+			updates[i] = ops.ApplyRMSProp(p, fed, lrs, 0.95, 0.01)
+		case Adam:
+			updates[i] = ops.ApplyAdam(p, fed, lrs, 0.9, 0.999, 1e-8)
+		case Adagrad:
+			updates[i] = ops.ApplyAdagrad(p, fed, lrs, 1e-8)
+		default:
+			return nil, fmt.Errorf("nn: unknown optimizer %d", tp.opt)
+		}
+	}
+	return ops.Group(g, updates...), nil
 }
 
 // BuildTraining builds gradient nodes for loss w.r.t. params and the
@@ -163,7 +136,7 @@ func BuildTraining(g *graph.Graph, loss *graph.Node, params []*graph.Node, opt O
 // clipping to [-clip, clip] when clip > 0 — the stabilization the
 // recurrent workloads rely on (Sutskever et al. clip gradients; DQN
 // clips TD errors). The recorded Grads stay raw; clipping applies in
-// both update paths (TrainOp and DistApply), so combined dist
+// every update path (TrainOp and ApplyPath), so combined dist
 // gradients are clipped exactly once, after combination — the
 // N-independent order.
 func BuildTrainingClipped(g *graph.Graph, loss *graph.Node, params []*graph.Node, opt Optimizer, lr, clip float32) (*TrainPlan, error) {
@@ -171,26 +144,19 @@ func BuildTrainingClipped(g *graph.Graph, loss *graph.Node, params []*graph.Node
 	if err != nil {
 		return nil, err
 	}
-	updates := make([]*graph.Node, 0, len(params))
 	for i, p := range params {
 		if grads[i] == nil {
 			return nil, fmt.Errorf("nn: parameter %s has no gradient path to the loss", p.Name())
 		}
-		fed := grads[i]
-		if clip > 0 {
-			fed = ops.Maximum(ops.Minimum(fed, ops.ScalarConst(g, clip)), ops.ScalarConst(g, -clip))
-		}
-		u, err := applyOne(opt, p, fed, lr)
-		if err != nil {
-			return nil, err
-		}
-		updates = append(updates, u)
 	}
-	return &TrainPlan{
+	tp := &TrainPlan{
 		g: g, loss: loss,
-		params:  append([]*graph.Node(nil), params...),
-		grads:   grads,
-		trainOp: ops.Group(g, updates...),
-		opt:     opt, lr: lr, clip: clip,
-	}, nil
+		params: append([]*graph.Node(nil), params...),
+		grads:  grads,
+		opt:    opt, lr: lr, clip: clip,
+	}
+	if tp.trainOp, err = tp.applyGroup(g, tp.params, grads, []float32{1}); err != nil {
+		return nil, err
+	}
+	return tp, nil
 }

@@ -149,7 +149,7 @@ func TestApplySGD(t *testing.T) {
 	g := graph.New()
 	v := g.Variable("v", tensor.FromSlice([]float32{1, 2}, 2))
 	grad := g.Const("g", tensor.FromSlice([]float32{0.5, -0.5}, 2))
-	up := ApplySGD(v, grad, 0.1)
+	up := ApplySGD(v, grad, []float32{0.1})
 	runOne(t, up, nil)
 	want := []float32{0.95, 2.05}
 	for i := range want {
@@ -163,7 +163,7 @@ func TestApplyMomentumAccumulates(t *testing.T) {
 	g := graph.New()
 	v := g.Variable("v", tensor.New(1))
 	grad := g.Const("g", tensor.FromSlice([]float32{1}, 1))
-	up := ApplyMomentum(v, grad, 0.1, 0.9)
+	up := ApplyMomentum(v, grad, []float32{0.1}, 0.9)
 	s := runtime.NewSession(g)
 	s.MustRun([]*graph.Node{up}, nil) // vel=1, v=-0.1
 	s.MustRun([]*graph.Node{up}, nil) // vel=1.9, v=-0.29
@@ -176,7 +176,7 @@ func TestApplyRMSPropNormalizesStepSize(t *testing.T) {
 	g := graph.New()
 	v := g.Variable("v", tensor.New(2))
 	grad := g.Const("g", tensor.FromSlice([]float32{100, 0.01}, 2))
-	up := ApplyRMSProp(v, grad, 0.01, 0.9, 1e-10)
+	up := ApplyRMSProp(v, grad, []float32{0.01}, 0.9, 1e-10)
 	s := runtime.NewSession(g)
 	s.MustRun([]*graph.Node{up}, nil)
 	d := v.Value().Data()
@@ -192,7 +192,7 @@ func TestApplyAdamBiasCorrection(t *testing.T) {
 	g := graph.New()
 	v := g.Variable("v", tensor.New(1))
 	grad := g.Const("g", tensor.FromSlice([]float32{1}, 1))
-	up := ApplyAdam(v, grad, 0.1, 0.9, 0.999, 1e-8)
+	up := ApplyAdam(v, grad, []float32{0.1}, 0.9, 0.999, 1e-8)
 	s := runtime.NewSession(g)
 	s.MustRun([]*graph.Node{up}, nil)
 	// First Adam step with constant gradient moves by ≈ lr.
@@ -373,7 +373,7 @@ func TestOpNamesAndClasses(t *testing.T) {
 		{Softmax(a), "Softmax", graph.ClassReduction},
 		{RandomUniform(g, 2), "RandomUniform", graph.ClassRandom},
 		{Dropout(a, 0.1), "Dropout", graph.ClassRandom},
-		{ApplySGD(g.Variable("v", tensor.Ones(2, 2)), a, 0.1), "ApplyGradientDescent", graph.ClassOptimization},
+		{ApplySGD(g.Variable("v", tensor.Ones(2, 2)), a, []float32{0.1}), "ApplyGradientDescent", graph.ClassOptimization},
 		{Reshape(a, 4), "Reshape", graph.ClassDataMovement},
 		{Transpose(a), "Transpose", graph.ClassDataMovement},
 		{Gather(a, idx), "Gather", graph.ClassDataMovement},
@@ -424,8 +424,8 @@ func TestGroupFetchesAllUpdates(t *testing.T) {
 	v1 := g.Variable("v1", tensor.Ones(1))
 	v2 := g.Variable("v2", tensor.Ones(1))
 	gr := g.Const("g", tensor.Ones(1))
-	u1 := ApplySGD(v1, gr, 0.5)
-	u2 := ApplySGD(v2, gr, 0.25)
+	u1 := ApplySGD(v1, gr, []float32{0.5})
+	u2 := ApplySGD(v2, gr, []float32{0.25})
 	grp := Group(g, u1, u2)
 	runOne(t, grp, nil)
 	if v1.Value().Data()[0] != 0.5 || v2.Value().Data()[0] != 0.75 {
@@ -549,7 +549,7 @@ func TestApplyAdagradAnnealsStepSize(t *testing.T) {
 	g := graph.New()
 	v := g.Variable("v", tensor.New(1))
 	grad := g.Const("g", tensor.FromSlice([]float32{1}, 1))
-	up := ApplyAdagrad(v, grad, 0.1, 1e-8)
+	up := ApplyAdagrad(v, grad, []float32{0.1}, 1e-8)
 	s := runtime.NewSession(g)
 	s.MustRun([]*graph.Node{up}, nil)
 	first := -v.Value().Data()[0] // ≈ lr
@@ -561,5 +561,50 @@ func TestApplyAdagradAnnealsStepSize(t *testing.T) {
 	}
 	if second >= first {
 		t.Fatalf("AdaGrad step should shrink: first %v second %v", first, second)
+	}
+}
+
+// TestApplyRateVectorUpdatesLeadingSlices: an apply-op with K learning
+// rates over a (K, ...) variable updates slice k exactly as a
+// one-rate op at lrs[k] updates a standalone copy of that slice, for
+// every optimizer and over several steps (the slots carry state). A
+// rate vector whose length is not the leading axis is refused.
+func TestApplyRateVectorUpdatesLeadingSlices(t *testing.T) {
+	lrs := []float32{0.1, 0.025, 0.4}
+	init := []float32{1, -2, 3, 0.5, -0.5, 2, 4, -1, 0.25}
+	grad := []float32{0.5, -1.5, 2, 0.1, 3, -0.7, -2, 0.9, 1.1}
+	for name, apply := range map[string]func(v, g *graph.Node, lrs []float32) *graph.Node{
+		"SGD":      ApplySGD,
+		"Momentum": func(v, g *graph.Node, lrs []float32) *graph.Node { return ApplyMomentum(v, g, lrs, 0.9) },
+		"RMSProp":  func(v, g *graph.Node, lrs []float32) *graph.Node { return ApplyRMSProp(v, g, lrs, 0.95, 0.01) },
+		"Adam":     func(v, g *graph.Node, lrs []float32) *graph.Node { return ApplyAdam(v, g, lrs, 0.9, 0.999, 1e-8) },
+		"Adagrad":  func(v, g *graph.Node, lrs []float32) *graph.Node { return ApplyAdagrad(v, g, lrs, 1e-8) },
+	} {
+		g := graph.New()
+		v := g.Variable("v", tensor.FromSlice(append([]float32(nil), init...), 3, 3))
+		up := apply(v, g.Const("g", tensor.FromSlice(grad, 3, 3)), lrs)
+		s := runtime.NewSession(g)
+		for step := 0; step < 3; step++ {
+			s.MustRun([]*graph.Node{up}, nil)
+		}
+		for k, lr := range lrs {
+			gk := graph.New()
+			vk := gk.Variable("v", tensor.FromSlice(append([]float32(nil), init[3*k:3*k+3]...), 3))
+			upk := apply(vk, gk.Const("g", tensor.FromSlice(grad[3*k:3*k+3], 3)), []float32{lr})
+			sk := runtime.NewSession(gk)
+			for step := 0; step < 3; step++ {
+				sk.MustRun([]*graph.Node{upk}, nil)
+			}
+			for i, want := range vk.Value().Data() {
+				if got := v.Value().Data()[3*k+i]; got != want {
+					t.Fatalf("%s slice %d element %d = %v, standalone %v", name, k, i, got, want)
+				}
+			}
+		}
+	}
+	bad := graph.New()
+	bv := bad.Variable("v", tensor.New(2, 3))
+	if _, err := bad.Apply(&applySGDOp{target: bv, lrs: lrs}, bad.Const("g", tensor.New(2, 3))); err == nil {
+		t.Fatal("3 learning rates over leading axis 2 must be refused")
 	}
 }

@@ -204,7 +204,7 @@ func TestCheckpointWorkloadWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := ops.ApplySGD(w, grads[0], 0.1)
+	up := ops.ApplySGD(w, grads[0], []float32{0.1})
 	s := NewSession(g)
 	s.MustRun([]*graph.Node{up}, nil)
 	trained := w.Value().Clone()

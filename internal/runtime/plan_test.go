@@ -172,7 +172,7 @@ func TestTrainingStepMatchesSeedSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := ops.ApplySGD(w, grads[0], 0.1)
+	up := ops.ApplySGD(w, grads[0], []float32{0.1})
 	s := NewSession(g)
 	feed := Feeds{x: tensor.Ones(2, 3)}
 	s.MustRun([]*graph.Node{up}, feed)

@@ -418,8 +418,7 @@ func WithTrace() Option { return func(s *Session) { s.traceOn = true } }
 
 // WithLeaseName sets the tenant name the session's shared-pool lease
 // registers under (default "session"). Multi-session subsystems pass
-// their own names ("engine/<model>", "dist/<model>", "fuse/<model>")
-// so the pool's per-tenant occupancy report attributes helper demand
+// their own names ("engine/<model>", "dist/<model>") so the pool's per-tenant occupancy report attributes helper demand
 // to the right tenant class.
 func WithLeaseName(name string) Option {
 	return func(s *Session) { s.leaseName = name }

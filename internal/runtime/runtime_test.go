@@ -93,7 +93,7 @@ func TestSessionVariableMutationPersists(t *testing.T) {
 	g := graph.New()
 	v := g.Variable("v", tensor.New(2))
 	grad := g.Const("g", tensor.Ones(2))
-	up := ops.ApplySGD(v, grad, 1)
+	up := ops.ApplySGD(v, grad, []float32{1})
 	s := NewSession(g)
 	s.MustRun([]*graph.Node{up}, nil)
 	s.MustRun([]*graph.Node{up}, nil)

@@ -149,8 +149,8 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		u1 := ops.ApplySGD(w1, grads[0], 0.01)
-		u2 := ops.ApplySGD(w2, grads[1], 0.01)
+		u1 := ops.ApplySGD(w1, grads[0], []float32{0.01})
+		u2 := ops.ApplySGD(w2, grads[1], []float32{0.01})
 		return g, x, []*graph.Node{loss, u1, u2}, loss
 	}
 	run := func(interop int) (*graph.Graph, []float32) {
@@ -194,8 +194,8 @@ func TestPlanRecordsSchedulingEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u1 := ops.ApplySGD(w1, grads[0], 0.1)
-	u2 := ops.ApplySGD(w2, grads[1], 0.1)
+	u1 := ops.ApplySGD(w1, grads[0], []float32{0.1})
+	u2 := ops.ApplySGD(w2, grads[1], []float32{0.1})
 	s := NewSession(g)
 	plan := s.Plan([]*graph.Node{loss, u1, u2})
 	if plan.Ops() == 0 || plan.Edges() == 0 {
@@ -409,7 +409,7 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 	}
 	fetches := []*graph.Node{loss, pick(), pick()}
 	for i, v := range []*graph.Node{v1, v2, w} {
-		fetches = append(fetches, ops.ApplySGD(v, grads[i], 0.003))
+		fetches = append(fetches, ops.ApplySGD(v, grads[i], []float32{0.003}))
 	}
 	return g, x, fetches
 }
@@ -487,7 +487,7 @@ func TestVariableReadThroughViewIsHazardOrdered(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		up := ops.ApplySGD(w, grads[0], 0.1)
+		up := ops.ApplySGD(w, grads[0], []float32{0.1})
 		return g, x, []*graph.Node{loss, side, up}
 	}
 

@@ -674,7 +674,7 @@ func (e *Engine) Stats() Stats {
 	// Per-tenant adaptive grants: every lease on the shared pool,
 	// aggregated by tenant name — the engine's own sessions appear as
 	// "engine/<model>" next to any co-resident dist trainer
-	// ("dist/<model>") or fused array ("fuse/<model>"). LeaseGranted is
+	// ("dist/<model>"), fused or not. LeaseGranted is
 	// this engine's slice: what the occupancy negotiation currently
 	// grants it, as opposed to the static claim it asked for.
 	for _, ls := range e.pool.LeaseStats() {
