@@ -8,7 +8,7 @@
 //	fathom profile -interop 4 ...       # inter-op parallelism report
 //	fathom train -replicas 4 ...        # data-parallel training scaling
 //	fathom serve -model alexnet ...     # HTTP/JSON inference serving
-//	fathom loadtest -model memnet ...   # open-loop overload test -> BENCH_serve.json
+//	fathom loadtest -model memnet ...   # open-loop overload test
 //	fathom table1 | table2              # the paper's tables
 //	fathom fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | overhead
 //	fathom all                          # everything, optionally to -out
@@ -21,8 +21,9 @@
 // observability: -tracesample N (trace every Nth request), -tracedir
 // DIR (periodic Chrome-trace dumps), -pprof (mount /debug/pprof);
 // /metrics always serves Prometheus text. Load-test flags: -qps (0 =
-// measure capacity), -duration, -arrival poisson|uniform, -batchfrac,
-// -bench FILE. Training: -trace dumps per-step phase telemetry.
+// measure capacity), -duration, -arrival poisson|uniform, -batchfrac.
+// Training: -trace dumps per-step phase telemetry. The repository's
+// performance record is BENCHMARK.json, run by perfbench/run.sh.
 package main
 
 import (
@@ -79,7 +80,6 @@ func main() {
 	ltDur := fs.Duration("duration", 2*time.Second, "per-stage duration (loadtest)")
 	arrival := fs.String("arrival", "poisson", "arrival distribution: poisson or uniform (loadtest)")
 	batchFrac := fs.Float64("batchfrac", 0.5, "fraction of traffic on the batch priority lane (loadtest)")
-	benchOut := fs.String("bench", "BENCH_serve.json", "load-test result file; with -out, written inside it (loadtest)")
 	traceSample := fs.Int("tracesample", 0, "trace every Nth request end to end, 0 = off (serve)")
 	traceDir := fs.String("tracedir", "", "directory for periodic Chrome-trace dumps of sampled requests; implies -tracesample 1000 if unset (serve)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the serve mux (serve)")
@@ -175,19 +175,13 @@ func main() {
 		// of its global batch on the shared pool, report achieved vs
 		// achievable scaling, and live-check the bit-identical-across-
 		// replica-counts contract. With -fuse K, additionally train one
-		// width-K fused replica per workload. Emits CSV with
-		// -out and persists the throughput sweep as BENCH_train.json.
+		// width-K fused replica per workload. Emits CSV with -out.
 		validateTrainFlags(*replicas, *chunks, *fuseWidth)
 		var names []string
 		if *model != "" {
 			names = strings.Split(*model, ",")
 		}
-		res, bench, err := experiments.TrainScaling(opts, *replicas, *chunks, *intraop, *fuseWidth, names)
-		if err != nil {
-			fatal(err)
-		}
-		emit(res)
-		writeTrainBench(bench, *outDir)
+		must(experiments.TrainScaling(opts, *replicas, *chunks, *intraop, *fuseWidth, names))(emit)
 		if *trainTrace {
 			// Per-step phase breakdown behind the aggregate numbers
 			// above: a fresh run per workload with the trainer's phase
@@ -300,9 +294,8 @@ func main() {
 	case "loadtest":
 		// Serving robustness: drive one engine open-loop at
 		// 0.5x/1x/2x of its measured capacity with mixed-priority
-		// traffic and a deadline budget, and persist the goodput/
-		// shed-rate/latency sweep as BENCH_serve.json — the serving
-		// perf trajectory later PRs diff against.
+		// traffic and a deadline budget, and report the goodput/
+		// shed-rate/latency sweep (CSV with -out).
 		arr, err := loadgen.ParseArrival(*arrival)
 		if err != nil {
 			fatal(err)
@@ -311,7 +304,7 @@ func main() {
 		if name == "" {
 			name = "memnet"
 		}
-		res, rep, err := experiments.LoadTest(opts, experiments.LoadTestOptions{
+		must(experiments.LoadTest(opts, experiments.LoadTestOptions{
 			Model:     name,
 			QPS:       *qps,
 			Duration:  *ltDur,
@@ -324,12 +317,7 @@ func main() {
 			QueueLen:  *queueLen,
 			InterOp:   *interop,
 			IntraOp:   *intraop,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		emit(res)
-		writeBench(rep, *benchOut, *outDir)
+		}))(emit)
 	case "table1":
 		emit(experiments.Table1())
 	case "table2":
@@ -374,23 +362,12 @@ func main() {
 		}
 		must(experiments.ProfileParallel(opts, core.ModeTraining, 4, 4, nil, ""))(emit)
 		validateTrainFlags(*replicas, *chunks, *fuseWidth)
-		trainRes, trainBench, err := experiments.TrainScaling(opts, *replicas, *chunks, 1, *fuseWidth, nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit(trainRes)
-		writeTrainBench(trainBench, *outDir)
+		must(experiments.TrainScaling(opts, *replicas, *chunks, 1, *fuseWidth, nil))(emit)
 		// Short serving overload sweep: keep `all` runs tractable while
-		// still exercising the admission path and refreshing the bench
-		// trajectory file.
-		ltRes, ltRep, err := experiments.LoadTest(opts, experiments.LoadTestOptions{
+		// still exercising the admission path.
+		must(experiments.LoadTest(opts, experiments.LoadTestOptions{
 			Model: "memnet", Duration: 500 * time.Millisecond, BatchFrac: *batchFrac,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		emit(ltRes)
-		writeBench(ltRep, *benchOut, *outDir)
+		}))(emit)
 		must(experiments.Overhead(opts))(emit)
 		must(experiments.Ablation(opts))(emit)
 	default:
@@ -454,45 +431,6 @@ func validateTrainFlags(replicas, chunks, fuseWidth int) {
 	}
 }
 
-// writeTrainBench persists the training-throughput sweep as the
-// BENCH_train.json trajectory file (inside -out when set).
-func writeTrainBench(tb *experiments.TrainBench, outDir string) {
-	payload, err := experiments.WriteTrainBenchJSON(tb)
-	if err != nil {
-		fatal(err)
-	}
-	path := "BENCH_train.json"
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			fatal(err)
-		}
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("(bench written to %s)\n\n", path)
-}
-
-// writeBench persists a load-test report as the BENCH_serve.json
-// trajectory file (inside -out when set).
-func writeBench(rep *loadgen.Report, benchPath, outDir string) {
-	payload, err := experiments.WriteBenchJSON(rep)
-	if err != nil {
-		fatal(err)
-	}
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			fatal(err)
-		}
-		benchPath = filepath.Join(outDir, filepath.Base(benchPath))
-	}
-	if err := os.WriteFile(benchPath, payload, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("(bench written to %s)\n\n", benchPath)
-}
-
 func must(r experiments.Result, err error) func(func(experiments.Result)) {
 	if err != nil {
 		fatal(err)
@@ -515,7 +453,7 @@ commands:
              achievable inter-op speedup, real vs modeled intra-op speedup; CSV with -out)
   train      training scaling            (-replicas N -chunks K -fuse K -model a,b -steps N -intraop N;
              data-parallel achieved vs achievable scaling plus a width-K fused replica,
-             bit-identical across replica counts and fused trainees -> BENCH_train.json;
+             bit-identical across replica counts and fused trainees;
              -trace dumps per-step sample/grad/reduce/apply phase telemetry)
   serve      HTTP/JSON inference serving (-model a,b -addr -sessions -maxbatch -maxdelay -interop -intraop
              -queue N -deadline D: bounded admission lanes + per-model deadline budget;
@@ -523,8 +461,7 @@ commands:
              -tracesample N traces every Nth request, -tracedir DIR dumps Chrome traces,
              -pprof mounts /debug/pprof; /metrics always exposes Prometheus text)
   loadtest   open-loop overload test     (-model m -qps X -duration D -arrival poisson|uniform -batchfrac F
-             -deadline D -queue N; 0.5x/1x/2x capacity sweep -> goodput, shed rate, p50/p99/p999,
-             persisted as BENCH_serve.json via -bench FILE)
+             -deadline D -queue N; 0.5x/1x/2x capacity sweep -> goodput, shed rate, p50/p99/p999)
   table1     architecture-survey table
   table2     workload inventory
   fig1       op-time stationarity
@@ -537,7 +474,8 @@ commands:
   ablation   optimizer-pass and kernel-fusion ablations
   all        everything
 
-flags: -preset ref|small|tiny  -steps N  -warmup N  -seed N  -out DIR
+flags: -preset ref|small|tiny  -steps N  -warmup N  -seed N  -out DIR (one <id>.csv per result)
 serve: exposes POST /v1/models/<name>:infer, GET /v1/models, /healthz, /stats;
-       requests carry one example per call and are dynamically micro-batched`)
+       requests carry one example per call and are dynamically micro-batched
+benchmark: BENCHMARK.json, run by perfbench/run.sh`)
 }

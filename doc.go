@@ -114,8 +114,8 @@
 // and chunk boundaries are pure functions of shape, and every output
 // element accumulates the same products in the same ascending-slab
 // order at every width, so the decomposition is invisible in the
-// result bits (BENCH_kernels.json tracks the scaling win over the
-// retained row-only baseline).
+// result bits (TestMatMulTiledMatchesRowOnly pins them to the retained
+// row-only kernels).
 //
 // A graph-level epilogue-fusion pass (graph.FuseEpilogues; pass 4 of
 // graph.Optimize, and applied to every workload's training graph via
@@ -153,12 +153,12 @@
 // probability-weighted sum of V in a scratch buffer of O(S) floats —
 // the (G,S,S) score and probability matrices are never materialized,
 // which removes the naive chain's dominant memory traffic
-// (BENCH_kernels.json tracks the fused-over-naive ratio and the arena
-// bytes eliminated). The kernel replays the exact float sequence of
-// the unfused chain — same dot order, one scale rounding, the
-// softmax's max/exp/sum/normalize in the same ascending order — so
-// fused and unfused are bit-identical at every intra-op width,
-// including rows containing ±Inf masks.
+// (BenchmarkAttentionFused and BenchmarkAttentionNaive time the two).
+// The kernel replays the exact float sequence of the unfused chain —
+// same dot order, one scale rounding, the softmax's max/exp/sum/
+// normalize in the same ascending order — so fused and unfused are
+// bit-identical at every intra-op width, including rows containing
+// ±Inf masks.
 //
 // At the graph level, ops.NaiveAttention builds the unfused reference
 // chain and graph.FuseAttention (joining pass 4 of graph.Optimize,
@@ -226,9 +226,10 @@
 // submitted on schedule regardless of completion (closed-loop clients
 // hide overload by self-throttling), with a mixed-priority lane split.
 // `fathom loadtest` measures closed-loop capacity, then drives
-// 0.5×/1×/2× of it and persists goodput (completions inside the
-// deadline), shed rate, and per-lane latency quantiles as
-// BENCH_serve.json — the serving perf trajectory across PRs.
+// 0.5×/1×/2× of it and reports goodput (completions inside the
+// deadline), shed rate, and per-lane latency quantiles. The repository's
+// performance record is BENCHMARK.json, run by perfbench/run.sh: HTTP
+// serving and data-parallel training, end to end and layer by layer.
 //
 // # Distributed training
 //
@@ -295,8 +296,7 @@
 // This holds by construction — fused kernels iterate the fusion axis
 // invoking the standalone kernel on contiguous per-trainee views.
 // `fathom train -fuse K` trains a width-K replica next to the
-// data-parallel baseline and persists both throughput trajectories as
-// BENCH_train.json.
+// data-parallel baseline and reports both throughputs.
 //
 // # Adaptive pool leases
 //
@@ -337,9 +337,9 @@
 // sampled request yields a span tree — request, admission, queue,
 // batch, run, and one child per executed op on its worker lane,
 // reusing the runtime's Event capture — collected in a bounded ring
-// and exported as Chrome trace-event JSON, either periodically to
-// -tracedir or one-shot via /debug/trace (load chrome://tracing or
-// Perfetto). -pprof mounts net/http/pprof under /debug/pprof/.
+// and exported as Chrome trace-event JSON by telemetry.WriteChromeTraces,
+// the one trace writer, either periodically to -tracedir or one-shot
+// via /debug/trace (load chrome://tracing or Perfetto). -pprof mounts net/http/pprof under /debug/pprof/.
 // Training gets the same treatment from the loop side: dist and fuse
 // trainers record per-step sample/grad/reduce/apply phase timings in
 // a fixed ring, scraped through the registry and printed as a phase

@@ -235,10 +235,9 @@ func TestAblation(t *testing.T) {
 // carries the scaling and fusion columns, the achievable bound stays
 // within [1, replicas], both workloads' loss trajectories are
 // bit-identical across replica counts AND across fused trainees (no
-// WARNING row), the fused throughput columns are live, and the
-// BENCH_train.json payload mirrors the rows.
+// WARNING row), and the fused throughput columns are live.
 func TestTrainScaling(t *testing.T) {
-	r, bench, err := TrainScaling(tinyOpts(), 2, 4, 1, 2, []string{"autoenc", "memnet"})
+	r, err := TrainScaling(tinyOpts(), 2, 4, 1, 2, []string{"autoenc", "memnet"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +268,6 @@ func TestTrainScaling(t *testing.T) {
 		}
 		if rate, _ := strconv.ParseFloat(f[12], 64); rate <= 0 {
 			t.Errorf("%s: fused trainee rate %v must be positive", f[0], rate)
-		}
-	}
-	if bench == nil || len(bench.Workloads) != 2 || bench.FusedWidth != 2 {
-		t.Fatalf("bench payload = %+v", bench)
-	}
-	for _, row := range bench.Workloads {
-		if !row.BitIdentical || !row.FusedIdentical || row.FusedTraineeStepsPerS <= 0 {
-			t.Errorf("bench row %+v: identity or fused throughput broken", row)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -38,10 +37,8 @@ type LoadTestOptions struct {
 // with mixed-priority traffic. The report shows the overload contract
 // in numbers: at 2× the engine must shed early — goodput holding near
 // its 1× value and admitted-request p99 inside the deadline budget —
-// instead of letting every request's latency collapse. The returned
-// Report is what `fathom loadtest` persists as BENCH_serve.json, the
-// serving perf trajectory across PRs.
-func LoadTest(o Options, lt LoadTestOptions) (Result, *loadgen.Report, error) {
+// instead of letting every request's latency collapse.
+func LoadTest(o Options, lt LoadTestOptions) (Result, error) {
 	o = o.withDefaults()
 	if lt.Model == "" {
 		lt.Model = "memnet"
@@ -62,14 +59,14 @@ func LoadTest(o Options, lt LoadTestOptions) (Result, *loadgen.Report, error) {
 		lt.MaxDelay = 500 * time.Microsecond
 	}
 	if lt.BatchFrac < 0 || lt.BatchFrac > 1 {
-		return Result{}, nil, fmt.Errorf("loadtest: batch fraction %v outside [0,1]", lt.BatchFrac)
+		return Result{}, fmt.Errorf("loadtest: batch fraction %v outside [0,1]", lt.BatchFrac)
 	}
 	m, err := core.New(lt.Model)
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	if err := m.Setup(core.Config{Preset: o.Preset, Seed: o.Seed, Batch: lt.MaxBatch}); err != nil {
-		return Result{}, nil, fmt.Errorf("loadtest: setup %s: %w", lt.Model, err)
+		return Result{}, fmt.Errorf("loadtest: setup %s: %w", lt.Model, err)
 	}
 	eng, err := serve.New(m, serve.Options{
 		Sessions:        lt.Sessions,
@@ -82,12 +79,12 @@ func LoadTest(o Options, lt LoadTestOptions) (Result, *loadgen.Report, error) {
 		DefaultDeadline: lt.Deadline,
 	})
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	defer eng.Close()
 	examples, err := serve.Examples(m, 4*eng.MaxBatch())
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	// Warm every worker session's plan cache so capacity and latency
 	// reflect steady state, not one-time compilation.
@@ -106,7 +103,7 @@ func LoadTest(o Options, lt LoadTestOptions) (Result, *loadgen.Report, error) {
 	if capacity <= 0 {
 		capacity, err = loadgen.EstimateCapacity(eng, examples, lt.Sessions*eng.MaxBatch(), 500*time.Millisecond)
 		if err != nil {
-			return Result{}, nil, err
+			return Result{}, err
 		}
 		eng.ResetStats()
 	}
@@ -118,10 +115,8 @@ func LoadTest(o Options, lt LoadTestOptions) (Result, *loadgen.Report, error) {
 		Deadline:  lt.Deadline,
 	})
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
-	rep.Model = lt.Model
-	rep.CapacityQPS = capacity
 
 	var text, csv strings.Builder
 	fmt.Fprintf(&text, "open-loop load test: %s (%s preset), capacity %.0f qps, %s arrivals, %.0f%% batch lane, deadline %v\n\n",
@@ -151,7 +146,7 @@ func LoadTest(o Options, lt LoadTestOptions) (Result, *loadgen.Report, error) {
 		Title: fmt.Sprintf("Serving under overload: %s at 0.5x/1x/2x capacity", lt.Model),
 		Text:  text.String(),
 		CSV:   csv.String(),
-	}, &rep, nil
+	}, nil
 }
 
 // mergedQuantiles approximates stage-wide latency quantiles from the
@@ -165,15 +160,4 @@ func mergedQuantiles(st loadgen.StageReport) (p50, p99, p999 float64) {
 	return w(st.Interactive.P50MS, st.Batch.P50MS),
 		w(st.Interactive.P99MS, st.Batch.P99MS),
 		w(st.Interactive.P999MS, st.Batch.P999MS)
-}
-
-// WriteBenchJSON renders a load-test report as the BENCH_serve.json
-// payload: indented, stable field order, with the capacity sweep that
-// later PRs diff.
-func WriteBenchJSON(rep *loadgen.Report) ([]byte, error) {
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

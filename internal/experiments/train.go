@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -66,52 +65,6 @@ func runTrain(name string, o Options, replicas, width, chunks, intraop, steps in
 	return out, nil
 }
 
-// TrainBenchRow is one workload's training-throughput measurement in
-// BENCH_train.json.
-type TrainBenchRow struct {
-	Workload    string  `json:"workload"`
-	GlobalBatch int     `json:"global_batch"`
-	FinalLoss   float64 `json:"final_loss"`
-	// SerialStepsPerS is the 1-replica global-step rate;
-	// ParallelStepsPerS the N-replica rate over the same global batch;
-	// AchievedSpeedup their ratio.
-	SerialStepsPerS   float64 `json:"serial_steps_per_s"`
-	ParallelStepsPerS float64 `json:"parallel_steps_per_s"`
-	AchievedSpeedup   float64 `json:"achieved_speedup"`
-	// FusedTraineeStepsPerS is the fused array's trainee-step rate
-	// (width × steps ÷ wall): the throughput of training width model
-	// instances at once. FusedSpeedup is that rate over
-	// SerialStepsPerS — the speedup against training the instances one
-	// after another, the HFTA baseline. Zero when fusion was off.
-	FusedTraineeStepsPerS float64 `json:"fused_trainee_steps_per_s"`
-	FusedSpeedup          float64 `json:"fused_speedup"`
-	// BitIdentical: loss trajectories identical across replica counts.
-	// FusedIdentical: every fused trainee's trajectory identical to the
-	// 1-replica run (vacuously true when fusion was off).
-	BitIdentical   bool `json:"bit_identical"`
-	FusedIdentical bool `json:"fused_identical"`
-}
-
-// TrainBench is what `fathom train` persists as BENCH_train.json: the
-// training-throughput trajectory later PRs diff against, covering both
-// the data-parallel axis (replicas) and the horizontal-fusion axis
-// (fused width).
-type TrainBench struct {
-	Kind       string          `json:"kind"`
-	Preset     string          `json:"preset"`
-	Steps      int             `json:"steps"`
-	Chunks     int             `json:"chunks"`
-	IntraOp    int             `json:"intraop"`
-	Replicas   int             `json:"replicas"`
-	FusedWidth int             `json:"fused_width"`
-	Workloads  []TrainBenchRow `json:"workloads"`
-}
-
-// WriteTrainBenchJSON renders the BENCH_train.json payload.
-func WriteTrainBenchJSON(tb *TrainBench) ([]byte, error) {
-	return json.MarshalIndent(tb, "", "  ")
-}
-
 // sameLosses reports whether two loss trajectories are bit-identical.
 func sameLosses(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -136,8 +89,7 @@ func sameLosses(a, b []float64) bool {
 // driver's headline invariant — replica counts only repartition the
 // chunk grid, and fused trainees reproduce standalone runs, so every
 // loss trajectory must be bit-identical.
-// Alongside the Result it returns the BENCH_train.json payload.
-func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []string) (Result, *TrainBench, error) {
+func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []string) (Result, error) {
 	o = o.withDefaults()
 	if replicas < 1 {
 		replicas = 1
@@ -154,10 +106,6 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 	if len(names) == 0 {
 		names = core.Names()
 	}
-	bench := &TrainBench{
-		Kind: "train", Preset: o.Preset.String(), Steps: o.Steps,
-		Chunks: chunks, IntraOp: intraop, Replicas: replicas, FusedWidth: fused,
-	}
 	var text, csv strings.Builder
 	fmt.Fprintf(&text, "training scaling: %d steps, %d chunks/step, replicas 1 vs %d, intra-op %d",
 		o.Steps, chunks, replicas, intraop)
@@ -172,11 +120,11 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 		name = strings.TrimSpace(name)
 		base, err := runTrain(name, o, 1, 1, chunks, intraop, o.Steps)
 		if err != nil {
-			return Result{}, nil, fmt.Errorf("train %s replicas=1: %w", name, err)
+			return Result{}, fmt.Errorf("train %s replicas=1: %w", name, err)
 		}
 		par, err := runTrain(name, o, replicas, 1, chunks, intraop, o.Steps)
 		if err != nil {
-			return Result{}, nil, fmt.Errorf("train %s replicas=%d: %w", name, replicas, err)
+			return Result{}, fmt.Errorf("train %s replicas=%d: %w", name, replicas, err)
 		}
 		ident := sameLosses(base.losses[0], par.losses[0])
 		ts := profiling.TrainScaling(replicas,
@@ -200,7 +148,7 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 		if fused > 0 {
 			fr, err := runTrain(name, o, 1, fused, chunks, intraop, o.Steps)
 			if err != nil {
-				return Result{}, nil, fmt.Errorf("train %s fused=%d: %w", name, fused, err)
+				return Result{}, fmt.Errorf("train %s fused=%d: %w", name, fused, err)
 			}
 			fusedRate = perSec(fr.timing.Steps*fused, fr.timing.Wall.Seconds())
 			if serialRate > 0 {
@@ -226,13 +174,6 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 		if !fusedIdent {
 			fmt.Fprintf(&text, "  WARNING: %s fused trainee trajectory differs from the standalone run\n", name)
 		}
-		bench.Workloads = append(bench.Workloads, TrainBenchRow{
-			Workload: name, GlobalBatch: base.batch, FinalLoss: final,
-			SerialStepsPerS: serialRate, ParallelStepsPerS: parRate,
-			AchievedSpeedup:       ts.Achieved,
-			FusedTraineeStepsPerS: fusedRate, FusedSpeedup: fusedX,
-			BitIdentical: ident, FusedIdentical: fusedIdent,
-		})
 	}
 	text.WriteString("\nachieved: wall speedup over the 1-replica run of the same global batch\n")
 	text.WriteString("achievable: Amdahl bound from the run's phase walls (parallel gradients, serial reduce+apply)\n")
@@ -249,7 +190,7 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 		ID:    "train",
 		Title: title,
 		Text:  text.String(), CSV: csv.String(),
-	}, bench, nil
+	}, nil
 }
 
 // TrainPhases is the training-loop phase-telemetry report

@@ -22,7 +22,7 @@
 // reproducible bit-for-bit; only the measured outcomes vary with the
 // host. A capacity-relative sweep (Stages at 0.5×/1×/2× of
 // EstimateCapacity's measurement) is the shape `fathom loadtest`
-// persists as BENCH_serve.json.
+// reports.
 package loadgen
 
 import (
@@ -113,63 +113,56 @@ type Config struct {
 // LaneReport aggregates one lane's caller-observed outcomes in a
 // stage.
 type LaneReport struct {
-	Sent       uint64  `json:"sent"`
-	OK         uint64  `json:"ok"`
-	Overloaded uint64  `json:"overloaded"` // rejected or shed (serve.ErrOverloaded)
-	Expired    uint64  `json:"expired"`    // deadline exceeded (serve.ErrExpired)
-	Errors     uint64  `json:"errors"`
-	MeanMS     float64 `json:"mean_ms"`
-	P50MS      float64 `json:"p50_ms"`
-	P99MS      float64 `json:"p99_ms"`
-	P999MS     float64 `json:"p999_ms"`
-	MaxMS      float64 `json:"max_ms"`
+	Sent       uint64
+	OK         uint64
+	Overloaded uint64 // rejected or shed (serve.ErrOverloaded)
+	Expired    uint64 // deadline exceeded (serve.ErrExpired)
+	Errors     uint64
+	MeanMS     float64
+	P50MS      float64
+	P99MS      float64
+	P999MS     float64
+	MaxMS      float64
 }
 
 // StageReport is one stage's measurement.
 type StageReport struct {
-	Name       string  `json:"name"`
-	OfferedQPS float64 `json:"offered_qps"`
-	WallS      float64 `json:"wall_s"`
-	Sent       uint64  `json:"sent"`
-	Dropped    uint64  `json:"dropped"` // harness valve, not engine shedding
+	Name       string
+	OfferedQPS float64
+	Sent       uint64
+	Dropped    uint64 // harness valve, not engine shedding
 
 	// AchievedQPS counts every successful completion; GoodputQPS only
 	// those inside the deadline budget — the number overload must not
 	// collapse. ShedRate is the fraction of sent requests the engine
 	// refused (overloaded) or expired.
-	AchievedQPS float64 `json:"achieved_qps"`
-	GoodputQPS  float64 `json:"goodput_qps"`
-	ShedRate    float64 `json:"shed_rate"`
+	AchievedQPS float64
+	GoodputQPS  float64
+	ShedRate    float64
 
 	// Engine-side counter deltas over the stage (admission's own
 	// view: queue-full rejections vs budget sheds vs expiries).
-	EngineRejected uint64 `json:"engine_rejected"`
-	EngineShed     uint64 `json:"engine_shed"`
-	EngineExpired  uint64 `json:"engine_expired"`
-	QueueDepthEnd  int    `json:"queue_depth_end"`
+	EngineRejected uint64
+	EngineShed     uint64
+	EngineExpired  uint64
 
 	// Queue-wait quantiles of this stage's dispatched requests,
 	// computed from the engine wait-histogram delta across the stage —
 	// the queueing share of the end-to-end latencies above, so sweeps
 	// separate time-in-queue from execution time.
-	QueueWaitP50MS  float64 `json:"queue_wait_p50_ms"`
-	QueueWaitP99MS  float64 `json:"queue_wait_p99_ms"`
-	QueueWaitP999MS float64 `json:"queue_wait_p999_ms"`
+	QueueWaitP50MS  float64
+	QueueWaitP99MS  float64
+	QueueWaitP999MS float64
 
-	Interactive LaneReport `json:"interactive"`
-	Batch       LaneReport `json:"batch"`
+	Interactive LaneReport
+	Batch       LaneReport
 }
 
-// Report is a full run: the ramp schedule's stages plus the offered-
-// traffic parameters that reproduce it.
+// Report is a full run: the arrival process and each stage of the
+// ramp schedule.
 type Report struct {
-	Model       string        `json:"model"`
-	Arrival     string        `json:"arrival"`
-	Seed        int64         `json:"seed"`
-	BatchFrac   float64       `json:"batch_frac"`
-	DeadlineMS  float64       `json:"deadline_ms"`
-	CapacityQPS float64       `json:"capacity_qps,omitempty"` // filled by capacity sweeps
-	Stages      []StageReport `json:"stages"`
+	Arrival string
+	Stages  []StageReport
 }
 
 // laneCollector accumulates one lane's outcomes; latencies are kept
@@ -247,12 +240,7 @@ func Run(e Engine, examples []map[string]*tensor.Tensor, cfg Config) (Report, er
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4096
 	}
-	rep := Report{
-		Arrival:    cfg.Arrival.String(),
-		Seed:       cfg.Seed,
-		BatchFrac:  cfg.BatchFrac,
-		DeadlineMS: durMS(cfg.Deadline),
-	}
+	rep := Report{Arrival: cfg.Arrival.String()}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var inflight atomic.Int64
 	for _, st := range cfg.Stages {
@@ -329,12 +317,10 @@ func runStage(e Engine, examples []map[string]*tensor.Tensor, cfg Config, st Sta
 	sr := StageReport{
 		Name:           st.Name,
 		OfferedQPS:     st.QPS,
-		WallS:          wall.Seconds(),
 		Dropped:        dropped.Load(),
 		EngineRejected: after.Rejected - before.Rejected,
 		EngineShed:     after.Shed - before.Shed,
 		EngineExpired:  after.Expired - before.Expired,
-		QueueDepthEnd:  after.QueueDepth,
 	}
 	// Stage-local queue-wait quantiles: the wait histogram is
 	// cumulative, so the bucket delta across the stage is exactly the
@@ -406,7 +392,7 @@ func EstimateCapacity(e Engine, examples []map[string]*tensor.Tensor, clients in
 
 // CapacityStages is the standard 0.5×/1×/2× sweep around a measured
 // capacity: under-load, saturation, and sustained overload — the
-// three regimes BENCH_serve.json tracks across PRs.
+// three regimes `fathom loadtest` reports.
 func CapacityStages(capacityQPS float64, dur time.Duration) []Stage {
 	return []Stage{
 		{Name: "0.5x", QPS: 0.5 * capacityQPS, Duration: dur},

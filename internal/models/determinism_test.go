@@ -272,7 +272,8 @@ func standaloneScaled(t *testing.T, name string, scale float32, trainSteps int) 
 // across fusion widths K ∈ {2, 4}, fused intra-op widths {1, 4}, and
 // K-wide fused arrays as 2 data-parallel replicas (K×N trainees, one
 // all-reduce over the stacked parameters). deepq is excluded by
-// construction: it advances out-of-graph state per step.
+// construction: it advances out-of-graph state per step. Every row
+// also runs under -short, so the race run covers the whole matrix.
 func TestFusedArrayDeterminism(t *testing.T) {
 	const trainSteps = 2
 	scales := []float32{1, 0.5, 2, 0.25}
@@ -303,10 +304,7 @@ func TestFusedArrayDeterminism(t *testing.T) {
 				}
 				return fp
 			}
-			for i, w := range widths {
-				if testing.Short() && i >= 2 {
-					break // -short keeps the width axis, trims the matrix tail
-				}
+			for _, w := range widths {
 				pool := sched.New(8)
 				arr, err := dist.New(name, dist.Options{
 					Replicas:       w.replicas,

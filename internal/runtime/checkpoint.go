@@ -77,6 +77,13 @@ func SaveCheckpoint(w io.Writer, g *graph.Graph) error {
 // LoadCheckpoint restores variables into g by name. Every variable in
 // the checkpoint must exist in g with a matching shape; g may not
 // contain extra variables unless allowMissing is true.
+//
+// The file is untrusted: each record's name length is bounded by the
+// longest variable name in g, and its rank and dimensions must equal
+// that variable's shape, before anything sized by the record is
+// allocated. Records decode into scratch and are committed together
+// only once the whole file has been read and checked, so a failed load
+// leaves every variable of g untouched.
 func LoadCheckpoint(r io.Reader, g *graph.Graph, allowMissing bool) error {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -96,56 +103,61 @@ func LoadCheckpoint(r io.Reader, g *graph.Graph, allowMissing bool) error {
 		return err
 	}
 	byName := map[string]*graph.Node{}
+	maxName := 0
 	for _, v := range g.Variables() {
 		byName[v.Name()] = v
+		maxName = max(maxName, len(v.Name()))
 	}
-	restored := map[string]bool{}
+	restored := map[string][]float32{}
 	for i := uint32(0); i < count; i++ {
 		var nameLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
 			return err
 		}
+		if int64(nameLen) > int64(maxName) {
+			return fmt.Errorf("runtime: checkpoint record %d name length %d exceeds every graph variable name", i, nameLen)
+		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(r, name); err != nil {
-			return err
-		}
-		var rank uint32
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-			return err
-		}
-		shape := make([]int, rank)
-		size := 1
-		for j := range shape {
-			var d uint32
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-				return err
-			}
-			shape[j] = int(d)
-			size *= int(d)
-		}
-		buf := make([]byte, 4*size)
-		if _, err := io.ReadFull(r, buf); err != nil {
 			return err
 		}
 		v, ok := byName[string(name)]
 		if !ok {
 			return fmt.Errorf("runtime: checkpoint variable %q not in graph", name)
 		}
+		var rank uint32
+		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
+			return err
+		}
+		if int64(rank) != int64(len(v.Shape())) {
+			return fmt.Errorf("runtime: variable %q has rank %d, checkpoint rank %d", name, len(v.Shape()), rank)
+		}
+		shape := make([]int, rank)
+		for j := range shape {
+			var d uint32
+			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
+				return err
+			}
+			shape[j] = int(d)
+		}
 		if !tensor.SameShape(v.Shape(), shape) {
 			return fmt.Errorf("runtime: variable %q shape %v != checkpoint %v", name, v.Shape(), shape)
 		}
-		data := v.Value().Data()
-		for j := range data {
-			data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[j*4:]))
+		data := make([]float32, v.Value().Size())
+		if err := binary.Read(r, binary.LittleEndian, data); err != nil {
+			return err
 		}
-		restored[string(name)] = true
+		restored[string(name)] = data
 	}
 	if !allowMissing {
 		for name := range byName {
-			if !restored[name] {
+			if _, ok := restored[name]; !ok {
 				return fmt.Errorf("runtime: graph variable %q missing from checkpoint", name)
 			}
 		}
+	}
+	for name, data := range restored {
+		copy(byName[name].Value().Data(), data)
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package runtime
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,90 +11,6 @@ import (
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
-
-func TestWriteChromeTrace(t *testing.T) {
-	g, x, y, _ := buildAffine(t)
-	s := NewSession(g, WithTrace())
-	s.MustRun([]*graph.Node{y}, Feeds{x: tensor.Ones(2, 3)})
-
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, s.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	var complete, meta int
-	for _, e := range events {
-		switch e["ph"] {
-		case "X":
-			complete++
-			if e["name"] == "" || e["dur"] == nil {
-				t.Fatalf("incomplete event: %v", e)
-			}
-		case "M":
-			meta++
-		}
-	}
-	if complete != 2 {
-		t.Fatalf("expected 2 op events, got %d", complete)
-	}
-	if meta == 0 {
-		t.Fatal("expected thread-name metadata records")
-	}
-}
-
-func TestWriteChromeTraceWall(t *testing.T) {
-	g, x, y, _ := buildAffine(t)
-	s := NewSession(g, WithTrace(), WithInterOpWorkers(2))
-	s.MustRun([]*graph.Node{y}, Feeds{x: tensor.Ones(2, 3)})
-
-	var buf bytes.Buffer
-	if err := WriteChromeTraceWall(&buf, s.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("wall trace is not valid JSON: %v", err)
-	}
-	workers := map[float64]bool{}
-	var complete int
-	for _, e := range events {
-		switch e["ph"] {
-		case "X":
-			complete++
-			if ts := e["ts"].(float64); ts < 0 {
-				t.Fatalf("negative wall-relative timestamp: %v", e)
-			}
-			workers[e["tid"].(float64)] = true
-		case "M":
-			if !strings.HasPrefix(e["args"].(map[string]interface{})["name"].(string), "worker ") {
-				t.Fatalf("wall lanes must be named after workers: %v", e)
-			}
-		}
-	}
-	if complete != 2 {
-		t.Fatalf("expected 2 op events on the wall timeline, got %d", complete)
-	}
-	// Both ops carry a wall start even when one lane served them; the
-	// lane ids must be inter-op worker indices, not the simulated lanes.
-	for tid := range workers {
-		if tid < 0 || tid >= 2 {
-			t.Fatalf("wall lane %v outside inter-op worker range", tid)
-		}
-	}
-}
-
-func TestWriteChromeTraceEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("empty trace should serialize to []: %q", buf.String())
-	}
-}
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	build := func(seed float32) *graph.Graph {
@@ -147,6 +63,57 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), dst, false); err == nil {
 		t.Fatal("shape mismatch should be rejected")
 	}
+
+	// A mismatch in a later record must not leave earlier records
+	// restored: the load is all or nothing.
+	src = graph.New()
+	src.Variable("a", tensor.Full(5, 2))
+	src.Variable("b", tensor.Full(5, 2, 2))
+	buf.Reset()
+	if err := SaveCheckpoint(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	dst = graph.New()
+	a := dst.Variable("a", tensor.Full(1, 2))
+	dst.Variable("b", tensor.Full(1, 4))
+	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), dst, false); err == nil {
+		t.Fatal("second-variable shape mismatch should be rejected")
+	}
+	for _, x := range a.Value().Data() {
+		if x != 1 {
+			t.Fatalf("failed load overwrote variable a: %v", a.Value().Data())
+		}
+	}
+}
+
+// TestCheckpointRejectsCorruptHeaders feeds crafted records whose
+// header fields would size huge allocations; each must come back as an
+// error, not an out-of-memory crash.
+func TestCheckpointRejectsCorruptHeaders(t *testing.T) {
+	record := func(nameLen uint32, name string, dims ...uint32) []byte {
+		var b bytes.Buffer
+		b.WriteString(checkpointMagic)
+		for _, u := range []uint32{checkpointVersion, 1, nameLen} {
+			binary.Write(&b, binary.LittleEndian, u)
+		}
+		b.WriteString(name)
+		binary.Write(&b, binary.LittleEndian, uint32(len(dims)))
+		for _, d := range dims {
+			binary.Write(&b, binary.LittleEndian, d)
+		}
+		return b.Bytes()
+	}
+	cases := map[string][]byte{
+		"rank-3 0xFFFFFFFF dims": record(1, "w", 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF),
+		"huge name length":       record(0xFFFFFFFF, "w"),
+	}
+	for label, data := range cases {
+		g := graph.New()
+		g.Variable("w", tensor.Ones(2, 2))
+		if err := LoadCheckpoint(bytes.NewReader(data), g, false); err == nil {
+			t.Errorf("%s: corrupt checkpoint accepted", label)
+		}
+	}
 }
 
 func TestCheckpointUnknownVariable(t *testing.T) {
@@ -175,6 +142,9 @@ func TestCheckpointMissingVariableStrictness(t *testing.T) {
 	dst.Variable("extra", tensor.New(1))
 	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), dst, false); err == nil {
 		t.Fatal("strict load should reject unrestored graph variables")
+	}
+	if dst.Variables()[0].Value().Data()[0] != 0 {
+		t.Fatal("rejected strict load should leave present variables untouched")
 	}
 	if err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), dst, true); err != nil {
 		t.Fatalf("lenient load should succeed: %v", err)

@@ -14,8 +14,8 @@ import (
 // Kᵀ, score, scaled-score and probability tensors (the (G,S,S)
 // intermediates the fused kernel exists to avoid), with the batched
 // matmul's per-slice result copies. Kept as the bit-equality baseline
-// for the fused streaming kernel and as the measurement baseline in
-// BENCH_kernels.json.
+// for the fused streaming kernel and as the timing baseline of
+// BenchmarkAttentionNaive.
 func naiveAttentionRef(t testing.TB, p *Pool, q, k, v *Tensor, scale float32) *Tensor {
 	kt, err := Transpose(p, k, []int{0, 2, 1})
 	if err != nil {

@@ -58,9 +58,9 @@ func BenchmarkMatMulInto(b *testing.B) {
 // BenchmarkMatMulIntraOpLarge is the tier-2 acceptance shape: a 1024³
 // product on the 2-D tiled kernel at widths 1 and 8. The tile grid
 // exposes mBlocks×gPanels flat work units per reduction slab, so on a
-// multi-core host width 8 should track the row-only kernel's width-1
-// time divided by close to the worker count (BENCH_kernels.json records
-// the same comparison against the retained row-only baseline).
+// multi-core host width 8 should track the width-1 time divided by
+// close to the worker count. The end-to-end record is BENCHMARK.json
+// (perfbench/run.sh).
 func BenchmarkMatMulIntraOpLarge(b *testing.B) {
 	const s = 1024
 	rng := rand.New(rand.NewSource(1))
